@@ -211,6 +211,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InfeasibleParametersError as exc:
         sys.stderr.write(f"infeasible parameters: {exc}\n")
         return 3
+    except ValueError as exc:
+        # a parameter the library rejects (e.g. --n 0, --passes -1): usage error
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -112,10 +112,12 @@ class SetFunctionTable:
         if values.size and (values.min() < 0 or values.max() >= self.n):
             raise ValueError("image values must lie in [0, n)")
         if values.size > 1:
-            # ascending within each row: any non-increase must sit on a row boundary
-            non_incr = np.nonzero(np.diff(values) <= 0)[0] + 1
-            starts = set(offsets[1:-1].tolist())
-            if any(int(i) not in starts for i in non_incr):
+            # ascending within each row: a non-increase values[i-1] >= values[i]
+            # is allowed only where a row starts at i (is_start[1:-1] covers
+            # i = 1 .. len(values)-1)
+            is_start = np.zeros(values.size + 1, dtype=bool)
+            is_start[offsets[1:-1]] = True
+            if ((values[1:] <= values[:-1]) & ~is_start[1:-1]).any():
                 raise ValueError("each image row must be strictly ascending")
         object.__setattr__(self, "offsets", _frozen_array(offsets))
         object.__setattr__(self, "values", _frozen_array(values))
@@ -143,9 +145,6 @@ class SetFunctionTable:
         if not 0 <= x < self.n:
             raise ValueError(f"element {x} outside [0, {self.n})")
         return self.values[self.offsets[x]:self.offsets[x + 1]]
-
-    def sets(self) -> list[frozenset[int]]:
-        return [frozenset(self.image(x).tolist()) for x in range(self.n)]
 
     def total_image_size(self) -> int:
         return int(self.values.size)

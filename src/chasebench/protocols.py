@@ -83,7 +83,7 @@ class Transcript:
 def _validate_message(bits: str) -> None:
     if not isinstance(bits, str) or not bits:
         raise ProtocolError("a scheduled turn must emit a nonempty bit string")
-    if any(c not in "01" for c in bits):
+    if bits.count("0") + bits.count("1") != len(bits):
         raise ProtocolError(f"message must contain only 0/1, got {bits!r}")
 
 

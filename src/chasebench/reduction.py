@@ -69,13 +69,25 @@ def choose_params(n: int, p: int, r: int) -> ReductionParams:
     """Largest fan-in on the standard schedule, in exact integer arithmetic.
 
     Picks the largest t with (10*r*t^2)^p <= n, the integer form of
-    t <= n^(1/(2p)) / sqrt(10*r).  Raises when even t=1 does not fit.
+    t <= n^(1/(2p)) / sqrt(10*r).  Doubles an upper bound, then bisects, so
+    the budget is only evaluated at widths up to max(1, 2t), which keeps the
+    powers small when p is large.  Raises when even t=1 does not fit.
     """
     if n < 1 or p < 1 or r < 1:
         raise ValueError("parameters must be positive")
-    t = 0
-    while (10 * r * (t + 1) ** 2) ** p <= n:
-        t += 1
+
+    def fits(width: int) -> bool:
+        return (10 * r * width * width) ** p <= n
+
+    t, hi = 0, 1  # invariant: fits(t) and not fits(hi) once the doubling stops
+    while fits(hi):
+        t, hi = hi, 2 * hi
+    while hi - t > 1:
+        mid = (t + hi) // 2
+        if fits(mid):
+            t = mid
+        else:
+            hi = mid
     if t < 1:
         raise InfeasibleParametersError(
             f"no positive width satisfies (10*r*t^2)^p <= n for n={n}, p={p}, r={r}"
@@ -101,10 +113,14 @@ class PermutationFamily:
         rho = np.asarray(self.rho, dtype=np.int64)
         if pi.ndim != 3 or pi.shape != rho.shape or pi.shape[2] != self.n:
             raise ValueError("pi and rho must both have shape (t, p, n)")
-        ref = np.arange(self.n)
         for fam in (pi, rho):
+            # a row is a permutation iff its n values lie in [0, n) and hit all n slots
             flat = fam.reshape(-1, self.n)
-            if not all(np.array_equal(np.sort(row), ref) for row in flat):
+            if flat.size and (flat.min() < 0 or flat.max() >= self.n):
+                raise ValueError("every row must be a permutation of [0, n)")
+            hit = np.zeros(flat.shape, dtype=bool)
+            np.put_along_axis(hit, flat, True, axis=1)
+            if not hit.all():
                 raise ValueError("every row must be a permutation of [0, n)")
         if not np.array_equal(pi[:, 0, :], rho[:, 0, :]):
             raise ValueError("outermost layers must be shared between pi and rho")
@@ -122,7 +138,14 @@ class PermutationFamily:
         return self.pi.shape[1]
 
     def inverse(self) -> "PermutationFamily":
-        return PermutationFamily(self.n, np.argsort(self.pi, axis=2), np.argsort(self.rho, axis=2))
+        return PermutationFamily(self.n, _invert(self.pi), _invert(self.rho))
+
+
+def _invert(perms: np.ndarray) -> np.ndarray:
+    """Inverse of each permutation along the last axis (equal to its argsort)."""
+    inv = np.empty_like(perms)
+    np.put_along_axis(inv, perms, np.arange(perms.shape[-1]), axis=-1)
+    return inv
 
 
 def sample_permutation_family(
@@ -160,8 +183,7 @@ def _scramble_side(
     for i in range(p):
         image = funcs[i].image
         if i + 1 < p:
-            inner_inv = np.argsort(perms[i + 1])
-            image = image[inner_inv]
+            image = image[_invert(perms[i + 1])]
         out.append(FunctionTable(n, perms[i][image]))
     return tuple(out)
 

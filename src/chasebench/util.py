@@ -40,8 +40,14 @@ def unpack_uints(blob: bytes, width: int, count: int) -> np.ndarray:
 
 
 def bitmap_to_str(mask: np.ndarray) -> str:
-    """Render a boolean array as a left-to-right 0/1 string."""
-    return "".join("1" if b else "0" for b in mask)
+    """Render a 1-D boolean array as a left-to-right 0/1 string.
+
+    Each bool is one byte (0 or 1); adding ord("0") turns the bytes into the
+    ASCII digits, so the string is built at C speed.  Non-bool input counts
+    an entry as 1 when it is truthy.
+    """
+    bits = np.asarray(mask, dtype=bool)
+    return (bits.view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def str_to_bitmap(bits: str) -> np.ndarray:

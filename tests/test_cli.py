@@ -72,6 +72,12 @@ def test_gen_game_missing_flags(capsys):
     assert code == 2 and "gen-game needs" in err
 
 
+def test_gen_game_empty_ground_set_exits_2(capsys):
+    code, stdout, err = run_cli(capsys, "gen-game", "--seed", "1", "--n", "0", "--p", "1")
+    assert code == 2 and stdout == ""
+    assert err == "error: ground set must be nonempty\n"
+
+
 # ------------------------------------------------------------ gen-graph
 
 
@@ -262,6 +268,24 @@ def test_stream_run_union_find_single_pass(capsys):
     )
     assert code == 0
     assert stdout.splitlines()[1].split(",")[1] == "1"
+
+
+def test_stream_run_bidir_on_directed_stream_exits_2(capsys):
+    code, stdout, err = run_cli(
+        capsys, "stream-run", "--input", str(GOLDEN / "reach_k4_p1_seed31.gs"),
+        "--alg", "bidir-bfs",
+    )
+    assert code == 2 and stdout == ""
+    assert err == "error: bidirectional search needs an undirected stream\n"
+
+
+def test_stream_run_negative_passes_exits_2(capsys):
+    code, stdout, err = run_cli(
+        capsys, "stream-run", "--input", str(GOLDEN / "distance_k4_p1_seed31.gs"),
+        "--alg", "union-find", "--passes", "-1",
+    )
+    assert code == 2 and stdout == ""
+    assert err == "error: pass budget must be non-negative\n"
 
 
 def test_stream_run_missing_file(capsys):

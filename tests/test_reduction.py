@@ -44,6 +44,11 @@ def test_choose_params_matches_linear_scan():
                 assert got == best, (n, p, r)
 
 
+def test_choose_params_large_n():
+    # 10*t^2 <= 2^50 < 10*(t+1)^2; a scan over t would take ~10^7 steps
+    assert cb.choose_params(2**50, 1, 1).t == 10610843
+
+
 def test_choose_params_infeasible_raises():
     with pytest.raises(InfeasibleParametersError):
         cb.choose_params(5, 1, 1)  # even t=1 needs n >= 10

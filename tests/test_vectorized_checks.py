@@ -1,0 +1,220 @@
+"""Differential tests: the array-level checks against the per-element loops they replaced.
+
+Each reference below is the earlier per-element version, kept verbatim in
+behaviour, and each test asserts the current code accepts and rejects (or
+renders) exactly what the reference does, with the same error text.
+"""
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chasebench.errors import ProtocolError
+from chasebench.games import SetFunctionTable
+from chasebench.protocols import _validate_message
+from chasebench.reduction import PermutationFamily, sample_permutation_family
+from chasebench.util import bitmap_to_str
+
+# ------------------------------------------------------------------ references
+
+
+def reference_set_table_error(n, offsets, values):
+    """Old SetFunctionTable validation; returns the error text or None."""
+    if n < 1:
+        return "ground set must be nonempty"
+    offsets = np.asarray(offsets, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    if offsets.shape != (n + 1,) or offsets[0] != 0:
+        return "offsets must have shape (n+1,) and start at 0"
+    if np.any(np.diff(offsets) < 0) or offsets[-1] != values.size:
+        return "offsets must be nondecreasing and end at len(values)"
+    if values.size and (values.min() < 0 or values.max() >= n):
+        return "image values must lie in [0, n)"
+    if values.size > 1:
+        non_incr = np.nonzero(np.diff(values) <= 0)[0] + 1
+        starts = set(offsets[1:-1].tolist())
+        if any(int(i) not in starts for i in non_incr):
+            return "each image row must be strictly ascending"
+    return None
+
+
+def reference_bitmap_to_str(mask):
+    return "".join("1" if b else "0" for b in mask)
+
+
+def reference_validate_message(bits):
+    if not isinstance(bits, str) or not bits:
+        raise ProtocolError("a scheduled turn must emit a nonempty bit string")
+    if any(c not in "01" for c in bits):
+        raise ProtocolError(f"message must contain only 0/1, got {bits!r}")
+
+
+def current_set_table_error(n, offsets, values):
+    try:
+        SetFunctionTable(n, offsets, values)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# ------------------------------------------------------------------ row check
+
+
+@st.composite
+def packed_rows(draw):
+    """(n, offsets, values) from per-row lists; rows may be empty or unsorted."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, n - 1), max_size=4)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [sorted(set(r)) for r in rows]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(r) for r in rows])
+    values = np.array([v for r in rows for v in r], dtype=np.int64)
+    return n, offsets, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_rows())
+@example((1, np.array([0, 1]), np.array([0])))  # n = 1
+@example((1, np.array([0, 2]), np.array([0, 0])))  # n = 1, repeat inside the row
+@example((3, np.array([0, 0, 2, 2]), np.array([0, 2])))  # empty first and last rows
+@example((3, np.array([0, 0, 0, 0]), np.array([], dtype=np.int64)))  # all rows empty
+@example((3, np.array([0, 2, 3, 3]), np.array([0, 2, 2])))  # equal across a boundary
+@example((3, np.array([0, 1, 3, 3]), np.array([2, 1, 1])))  # equal inside a row
+@example((2, np.array([0, 2, 2]), np.array([1, 0])))  # descent, last row empty
+def test_row_check_rejects_what_the_loop_rejected(case):
+    n, offsets, values = case
+    assert current_set_table_error(n, offsets, values) == reference_set_table_error(
+        n, offsets, values
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(st.integers(-1, 6), max_size=7),
+    st.lists(st.integers(-1, 6), max_size=6),
+)
+def test_row_check_matches_on_arbitrary_offsets(n, offsets, values):
+    # unstructured offsets exercise the earlier shape and range checks too
+    offsets = np.array(offsets, dtype=np.int64)
+    values = np.array(values, dtype=np.int64)
+    assert current_set_table_error(n, offsets, values) == reference_set_table_error(
+        n, offsets, values
+    )
+
+
+# -------------------------------------------------------------- bitmap_to_str
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.booleans(), max_size=300),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.booleans(),
+)
+@example([], 1, 0, False)  # length 0
+def test_bitmap_to_str_matches_join(bits, step, start, reverse):
+    base = np.array(bits, dtype=bool)
+    view = base[start::step]
+    if reverse:
+        view = view[::-1]
+    # strided and reversed views are not contiguous
+    assert bitmap_to_str(view) == reference_bitmap_to_str(view)
+    assert bitmap_to_str(base) == reference_bitmap_to_str(base)
+
+
+def test_bitmap_to_str_accepts_lists_and_int_masks():
+    assert bitmap_to_str([True, False, True]) == "101"
+    ints = np.array([0, 3, -1, 0, 1])
+    assert bitmap_to_str(ints) == reference_bitmap_to_str(ints) == "01101"
+
+
+# ---------------------------------------------------------- _validate_message
+
+
+def outcome(check, bits):
+    try:
+        check(bits)
+    except ProtocolError as exc:
+        return str(exc)
+    return None
+
+
+MESSAGE_EXAMPLES = [
+    "", "0", "1", "01", "0110", "012", " 01", "01\n", "１", "0１", "\x00", "0\x00",
+    "٠", "o1", "10" * 50,
+]
+
+
+@pytest.mark.parametrize("bits", MESSAGE_EXAMPLES)
+def test_validate_message_examples(bits):
+    assert outcome(_validate_message, bits) == outcome(reference_validate_message, bits)
+
+
+@pytest.mark.parametrize("bits", [None, b"01", ["0", "1"], 1, 0.0, bytearray(b"1")])
+def test_validate_message_rejects_non_strings_alike(bits):
+    got = outcome(_validate_message, bits)
+    assert got is not None
+    assert got == outcome(reference_validate_message, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(alphabet="01", max_size=40), st.text(max_size=40)))
+def test_validate_message_matches_loop(bits):
+    assert outcome(_validate_message, bits) == outcome(reference_validate_message, bits)
+
+
+# --------------------------------------------------------- permutation family
+
+
+def reference_permutation_error(n, pi, rho):
+    """Old PermutationFamily row check, sorting each row; error text or None."""
+    ref = np.arange(n)
+    for fam in (pi, rho):
+        flat = fam.reshape(-1, n)
+        if not all(np.array_equal(np.sort(row), ref) for row in flat):
+            return "every row must be a permutation of [0, n)"
+    if not np.array_equal(pi[:, 0, :], rho[:, 0, :]):
+        return "outermost layers must be shared between pi and rho"
+    return None
+
+
+@st.composite
+def permutation_families(draw):
+    """(n, pi, rho) of shape (t, p, n); rows are permutations, possibly broken."""
+    n = draw(st.integers(1, 6))
+    t, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pi = np.array([[rng.permutation(n) for _ in range(p)] for _ in range(t)])
+    rho = np.array([[rng.permutation(n) for _ in range(p)] for _ in range(t)])
+    rho[:, 0] = pi[:, 0]
+    for _ in range(draw(st.integers(0, 2))):
+        # overwrite one entry, possibly with a duplicate or an out-of-range value
+        fam = pi if draw(st.booleans()) else rho
+        j, i = draw(st.integers(0, t - 1)), draw(st.integers(0, p - 1))
+        fam[j, i, draw(st.integers(0, n - 1))] = draw(st.integers(-1, n))
+    return n, pi, rho
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_families())
+def test_permutation_check_rejects_what_sorting_rejected(case):
+    n, pi, rho = case
+    try:
+        PermutationFamily(n, pi, rho)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == reference_permutation_error(n, pi, rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_permutation_inverse_equals_argsort(n, p, t, seed):
+    fam = sample_permutation_family(n, p, t, np.random.default_rng(seed))
+    inv = fam.inverse()
+    assert np.array_equal(inv.pi, np.argsort(fam.pi, axis=2))
+    assert np.array_equal(inv.rho, np.argsort(fam.rho, axis=2))
