@@ -171,7 +171,7 @@ def _check_layer_shapes(n: int, p: int, funcs, kind) -> None:
             raise ValueError("all layers must share the same ground set size")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PcInstance:
     """A pointer chase: p function tables applied innermost-last-first.
 
@@ -187,13 +187,8 @@ class PcInstance:
         object.__setattr__(self, "funcs", tuple(self.funcs))
         _check_layer_shapes(self.n, self.p, self.funcs, FunctionTable)
 
-    def __eq__(self, other):
-        if not isinstance(other, PcInstance):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self.funcs == other.funcs
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScInstance:
     """A set chase: like PcInstance but with set-valued tables."""
 
@@ -205,13 +200,8 @@ class ScInstance:
         object.__setattr__(self, "funcs", tuple(self.funcs))
         _check_layer_shapes(self.n, self.p, self.funcs, SetFunctionTable)
 
-    def __eq__(self, other):
-        if not isinstance(other, ScInstance):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self.funcs == other.funcs
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LpceInstance:
     """Two pointer chases plus a non-injectivity escape threshold r.
 
@@ -240,13 +230,8 @@ class LpceInstance:
     def tables(self) -> tuple[FunctionTable, ...]:
         return self.left.funcs + self.right.funcs
 
-    def __eq__(self, other):
-        if not isinstance(other, LpceInstance):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right and self.r == other.r
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OrLpceInstance:
     """A t-way OR of escape-equality items sharing n, p, and r."""
 
@@ -274,13 +259,8 @@ class OrLpceInstance:
     def r(self) -> int:
         return self.items[0].r
 
-    def __eq__(self, other):
-        if not isinstance(other, OrLpceInstance):
-            return NotImplemented
-        return self.t == other.t and self.items == other.items
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IntersectScInstance:
     """Two set chases; the predicate asks whether the final sets intersect."""
 
@@ -298,11 +278,6 @@ class IntersectScInstance:
     @property
     def p(self) -> int:
         return self.left.p
-
-    def __eq__(self, other):
-        if not isinstance(other, IntersectScInstance):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
 
 
 # ---------------------------------------------------------------------------

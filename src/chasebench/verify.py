@@ -4,6 +4,9 @@ Each suite re-validates one module's documented properties at desk scale
 and returns one row per check.  All randomness is derived from the caller's
 seed, so reruns are byte-identical; the CLI turns any failed row into a
 nonzero exit code.
+
+The public check functions return raw measurements; the suites run them
+at desk trial counts and the acceptance tests at their own seeds and bounds.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ def to_csv(results: Sequence[CheckResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tilted(n: int, delta: float) -> info.FiniteDistribution:
+def tilted(n: int, delta: float) -> info.FiniteDistribution:
     """Distribution on [n] with entropy exactly log2(n) - delta (bisected)."""
     target = math.log2(n) - delta
 
@@ -80,8 +83,65 @@ def _random_dist(n: int, rng: np.random.Generator) -> info.FiniteDistribution:
 # ---------------------------------------------------------------- info suite
 
 
+def collision_violations(delta: float) -> int:
+    """Tilted pairs at n = 4, 16, 64 outside the collision bounds or their gate."""
+    bad = 0
+    for n in (4, 16, 64):
+        rep = info.collision_bounds_check(tilted(n, delta), tilted(n, delta * 0.5), delta)
+        bad += not (rep.applicable and rep.collision_holds and rep.distinct_holds)
+    return bad
+
+
+def almost_uniform_violations(rng: np.random.Generator, trials: int) -> tuple[int, int]:
+    """(applicable, violations) of the hitting bound on random tilts and sets."""
+    applicable = bad = 0
+    for _ in range(trials):
+        n = int(rng.integers(8, 65))
+        gate = float(rng.random() * 1e-3)
+        d = tilted(n, gate * rng.random())
+        size = int(rng.integers(max(1, n // 2), n + 1))
+        rep = info.check_almost_uniform(d, rng.choice(n, size=size, replace=False), gate)
+        if rep.applicable:
+            applicable += 1
+            bad += not rep.holds
+    return applicable, bad
+
+
+def mixture_violations(
+    rng: np.random.Generator,
+    trials: int,
+    component: Callable[[np.random.Generator], info.FiniteDistribution],
+) -> int:
+    """Random two-`component` mixtures breaking the mixture-entropy bound."""
+    bad = 0
+    for _ in range(trials):
+        x0 = component(rng)
+        x1 = component(rng)
+        y0 = float(rng.random())
+        y = info.FiniteDistribution(np.array([y0, 1.0 - y0]))
+        bad += not info.mixture_entropy_check(x0, x1, y).holds
+    return bad
+
+
+def starved_pair() -> tuple[info.FiniteDistribution, info.FiniteDistribution, float]:
+    """8-atom (p, q, eps) with q starving p's heavy atom: a proper good set."""
+    pp = np.full(8, 0.1)
+    pp[0] = 0.3
+    qq = np.full(8, (1.0 - 0.004) / 7)
+    qq[0] = 0.004
+    return info.FiniteDistribution(pp), info.FiniteDistribution(qq), 0.9
+
+
+def rejection_draws(rng: np.random.Generator, draws: int, p, q, eps: float) -> tuple:
+    """Per-value counts, bottom outcomes and per-draw steps of the sampler."""
+    outs = [info.rejection_sample(p, q, eps, rng) for _ in range(draws)]
+    taken = [out.value for out in outs if out.value is not None]
+    steps = np.array([out.steps for out in outs], dtype=np.int64)
+    return np.bincount(taken, minlength=p.n), draws - len(taken), steps
+
+
 def _suite_info(seed: int, trials: Optional[int]) -> list[CheckResult]:
-    t = trials or 2000
+    t = 2000 if trials is None else trials
     rows: list[CheckResult] = []
 
     def add(check: str, measured: Value, threshold: str, passed: bool):
@@ -111,39 +171,15 @@ def _suite_info(seed: int, trials: Optional[int]) -> list[CheckResult]:
         worst = max(worst, abs(info.mutual_information(j) - (hx + hy - hxy)))
     add("mi-additivity-gap", worst, "<=1e-9", worst <= 1e-9)
 
-    rng = derive_rng(seed, 0, 4)
-    checked = bad = 0
-    for _ in range(min(t, 1000)):
-        n = int(rng.integers(8, 65))
-        delta = float(rng.random() * 1e-3)
-        d = _tilted(n, delta * rng.random())
-        size = int(rng.integers(max(1, n // 2), n + 1))
-        s = rng.choice(n, size=size, replace=False)
-        rep = info.check_almost_uniform(d, s, delta)
-        if rep.applicable:
-            checked += 1
-            bad += not rep.holds
+    checked, bad = almost_uniform_violations(derive_rng(seed, 0, 4), min(t, 1000))
     add("almost-uniform-violations", bad, "=0", bad == 0 and checked > 0)
 
-    delta = 48.0 ** -2
-    col_bad = 0
-    for n in (4, 16, 64):
-        x = _tilted(n, delta)
-        y = _tilted(n, delta * 0.5)
-        rep = info.collision_bounds_check(x, y, delta)
-        if not (rep.applicable and rep.collision_holds and rep.distinct_holds):
-            col_bad += 1
+    col_bad = collision_violations(48.0 ** -2)
     add("collision-bounds-violations", col_bad, "=0", col_bad == 0)
 
-    rng = derive_rng(seed, 0, 5)
-    mix_bad = 0
-    for _ in range(min(t, 2000)):
-        x0 = _random_dist(6, rng)
-        x1 = _random_dist(6, rng)
-        ybias = float(rng.random())
-        y = info.FiniteDistribution(np.array([ybias, 1.0 - ybias]))
-        if not info.mixture_entropy_check(x0, x1, y).holds:
-            mix_bad += 1
+    mix_bad = mixture_violations(
+        derive_rng(seed, 0, 5), min(t, 2000), lambda rng: _random_dist(6, rng)
+    )
     add("mixture-entropy-violations", mix_bad, "=0", mix_bad == 0)
 
     rng = derive_rng(seed, 0, 6)
@@ -156,27 +192,11 @@ def _suite_info(seed: int, trials: Optional[int]) -> list[CheckResult]:
         min_margin = min(min_margin, mass - (1.0 - eps))
     add("good-set-mass-margin", min_margin, ">=0", min_margin >= -1e-12)
 
-    # fixed sampler instance: p has a heavy atom that q starves, so the
-    # good set is proper and the bottom branch is exercised
-    pp = np.full(8, 0.1)
-    pp[0] = 0.3
-    qq = np.full(8, (1.0 - 0.004) / 7)
-    qq[0] = 0.004
-    p8 = info.FiniteDistribution(pp)
-    q8 = info.FiniteDistribution(qq)
-    eps8 = 0.9
-    a8 = info.kl_divergence(p8, q8)
-    c8 = 2.0 ** (-(a8 + 1.0) / eps8)
+    p8, q8, eps8 = starved_pair()
+    c8 = 2.0 ** (-(info.kl_divergence(p8, q8) + 1.0) / eps8)
     good8 = info.good_set(p8, q8, eps8)
-    rng = derive_rng(seed, 0, 7)
     draws = min(t * 3, 6000)
-    counts = np.zeros(8)
-    steps = []
-    for _ in range(draws):
-        out = info.rejection_sample(p8, q8, eps8, rng)
-        steps.append(out.steps)
-        if out.value is not None:
-            counts[out.value] += 1
+    counts, _, steps = rejection_draws(derive_rng(seed, 0, 7), draws, p8, q8, eps8)
     expected = np.array([p8.probs[i] if i in good8 else 0.0 for i in range(8)])
     expected /= expected.sum()
     accepted = counts.sum()
@@ -204,80 +224,93 @@ def _suite_info(seed: int, trials: Optional[int]) -> list[CheckResult]:
 # ----------------------------------------------------------- protocol suite
 
 
+def protocol_errors(inst: games.IntersectScInstance) -> tuple[int, int, int, int, int]:
+    """Answer mismatches of both protocols, then 0/1 flags: forward rounds,
+    forward set bits, reverse rounds, reverse bit bound."""
+    n, p = inst.n, inst.p
+    truth = games.eval_intersect_sc(inst)
+    fwd, ftr = protocols.forward_sc_protocol(inst)
+    rev, rtr = protocols.reverse_order_sc_protocol(inst)
+    return (
+        (fwd != truth) + (rev != truth),
+        int(max(r for r, _, _ in ftr.messages) + 1 != p),
+        int(protocols.set_message_bits(ftr, n) != 2 * p * n),
+        int(max(r for r, _, _ in rtr.messages) + 1 != 1),
+        int(rtr.total_bits > 2 * p * (n + 1)),
+    )
+
+
 def _suite_protocols(seed: int, trials: Optional[int]) -> list[CheckResult]:
-    t = trials or 1500
-    rows: list[CheckResult] = []
-    mismatches = 0
-    round_bad = 0
-    bits_bad = 0
-    rev_round_bad = 0
-    rev_bits_bad = 0
+    t = 1500 if trials is None else trials
+    totals = [0] * 5
     rng = derive_rng(seed, 1, 0)
     for _ in range(t):
         n = int(rng.integers(4, 17))
         p = int(rng.integers(1, 4))
         inst = games.sample_intersect_sc(n, p, rng, include_prob=float(rng.uniform(0.1, 0.6)))
-        truth = games.eval_intersect_sc(inst)
-        fwd, ftr = protocols.forward_sc_protocol(inst)
-        rev, rtr = protocols.reverse_order_sc_protocol(inst)
-        mismatches += (fwd != truth) + (rev != truth)
-        round_bad += max(r for r, _, _ in ftr.messages) + 1 != p
-        bits_bad += protocols.set_message_bits(ftr, n) != 2 * p * n
-        rev_round_bad += max(r for r, _, _ in rtr.messages) + 1 != 1
-        rev_bits_bad += rtr.total_bits > 2 * p * (n + 1)
-    rows.append(CheckResult("protocols", "answer-mismatches", mismatches, "=0", mismatches == 0))
-    rows.append(CheckResult("protocols", "forward-round-count-errors", round_bad, "=0", round_bad == 0))
-    rows.append(CheckResult("protocols", "forward-set-bit-errors", bits_bad, "=0", bits_bad == 0))
-    rows.append(CheckResult("protocols", "reverse-round-count-errors", rev_round_bad, "=0", rev_round_bad == 0))
-    rows.append(CheckResult("protocols", "reverse-bit-bound-errors", rev_bits_bad, "=0", rev_bits_bad == 0))
-    return rows
+        totals = [a + b for a, b in zip(totals, protocol_errors(inst))]
+    names = (
+        "answer-mismatches",
+        "forward-round-count-errors",
+        "forward-set-bit-errors",
+        "reverse-round-count-errors",
+        "reverse-bit-bound-errors",
+    )
+    return [CheckResult("protocols", name, bad, "=0", bad == 0) for name, bad in zip(names, totals)]
 
 
 # ---------------------------------------------------------- reduction suite
 
 
-def _suite_reduction(seed: int, trials: Optional[int]) -> list[CheckResult]:
-    rows: list[CheckResult] = []
-
-    n, p, tt = 64, 2, 2
+def completeness_failures(rng: np.random.Generator, trials: int, n: int, p: int, t: int) -> int:
+    """Reductions of forced-1 OR instances (r-non-injective ones redrawn,
+    feasibility gate off) whose final sets miss each other."""
     r = info.c_star_threshold(n)
-    comp_trials = trials or 300
-    failures = 0
-    rng = derive_rng(seed, 2, 0)
-    done = 0
-    while done < comp_trials:
-        inst = games.sample_uniform_or_lpce(n, p, r, tt, rng)
+    failures = done = 0
+    while done < trials:
+        inst = games.sample_uniform_or_lpce(n, p, r, t, rng)
         items = list(inst.items)
-        j = int(rng.integers(tt))
+        j = int(rng.integers(t))
         items[j] = games.force_equal(items[j])
-        inst = games.OrLpceInstance(tt, tuple(items))
-        if any(
-            games.is_r_non_injective(f, r)
-            for item in inst.items
-            for f in item.tables()
-        ):
+        inst = games.OrLpceInstance(t, tuple(items))
+        if any(games.is_r_non_injective(f, r) for item in inst.items for f in item.tables()):
             continue
         reduced = reduction.reduce_or_lpce(inst, rng, check_feasible=False)
         assert not isinstance(reduced, reduction.ShortCircuit)
         failures += games.eval_intersect_sc(reduced) != 1
         done += 1
+    return failures
+
+
+def soundness_sizes(rng: np.random.Generator, trials: int, n: int, p: int, t: int) -> np.ndarray:
+    """Final intersection sizes after reducing OR-0 instances; > 0 is false."""
+    r = info.c_star_threshold(n)
+    sizes = np.zeros(trials, dtype=np.int64)
+    done = 0
+    while done < trials:
+        inst = games.sample_uniform_or_lpce(n, p, r, t, rng)
+        if games.eval_or_lpce(inst) != 0:
+            continue
+        reduced = reduction.reduce_or_lpce(inst, rng)
+        assert not isinstance(reduced, reduction.ShortCircuit)
+        sizes[done] = len(games.eval_sc(reduced.left) & games.eval_sc(reduced.right))
+        done += 1
+    return sizes
+
+
+def _suite_reduction(seed: int, trials: Optional[int]) -> list[CheckResult]:
+    rows: list[CheckResult] = []
+
+    comp_trials = 300 if trials is None else trials
+    failures = completeness_failures(derive_rng(seed, 2, 0), comp_trials, 64, 2, 2)
     rows.append(CheckResult("reduction", "completeness-failures", failures, "=0", failures == 0))
 
     n, p, tt = 256, 1, 5
     r = info.c_star_threshold(n)
-    snd_trials = trials or 500
+    snd_trials = 500 if trials is None else trials
     bound = tt ** (2 * p) * r ** (p - 1) / n
-    rng = derive_rng(seed, 2, 1)
-    false_hits = 0
-    done = 0
-    while done < snd_trials:
-        inst = games.sample_uniform_or_lpce(n, p, r, tt, rng)
-        if games.eval_or_lpce(inst) != 0:
-            continue
-        reduced = reduction.reduce_or_lpce(inst, rng)
-        false_hits += games.eval_intersect_sc(reduced) == 1
-        done += 1
-    rate = false_hits / snd_trials
+    sizes = soundness_sizes(derive_rng(seed, 2, 1), snd_trials, n, p, tt)
+    rate = int((sizes > 0).sum()) / snd_trials
     sigma = math.sqrt(bound * (1 - bound) / snd_trials)
     cap = bound + 3 * sigma
     rows.append(
@@ -316,23 +349,47 @@ def _suite_reduction(seed: int, trials: Optional[int]) -> list[CheckResult]:
 # ------------------------------------------------------------ gadget suite
 
 
+def vertex_count_errors(*prefix: int) -> list[tuple[int, int, str, int]]:
+    """(p, k, gadget, nv) for each wrong vertex count; shape (p, k) is
+    sampled at depth p + 1 from derive_rng(*prefix, p, k)."""
+    bad = []
+    for p in (1, 2, 3):
+        for k in (2, 4, 8):
+            inst = games.sample_intersect_sc(k, p + 1, derive_rng(*prefix, p, k))
+            for name, build, want in (
+                ("distance", gadgets.build_distance_gadget, (2 * p + 3) * k),
+                ("reach", gadgets.build_reachability_gadget, (2 * p + 3) * k),
+                ("matching", gadgets.build_matching_gadget, k * (4 * p + 6) - 2),
+            ):
+                nv = build(inst).nv
+                if nv != want:
+                    bad.append((p, k, name, nv))
+    return bad
+
+
+def gadget_mismatches(inst: games.IntersectScInstance) -> tuple[int, float, tuple]:
+    """Gadget oracles disagreeing with the set chase (0-3), the distance-gadget
+    distance, and the (distance, reach, matching) gadgets."""
+    truth = games.eval_intersect_sc(inst)
+    dist = gadgets.build_distance_gadget(inst)
+    reach = gadgets.build_reachability_gadget(inst)
+    match = gadgets.build_matching_gadget(inst)
+    d = oracles.oracle_distance(dist)
+    mismatches = (
+        ((d <= 2 * inst.p) != bool(truth))
+        + (oracles.oracle_reachable(reach) != truth)
+        + (oracles.oracle_perfect_matching(match) != truth)
+    )
+    return int(mismatches), d, (dist, reach, match)
+
+
 def _suite_gadgets(seed: int, trials: Optional[int]) -> list[CheckResult]:
     rows: list[CheckResult] = []
 
-    nv_bad = 0
-    for p in (1, 2, 3):
-        for k in (2, 4, 8):
-            rng = derive_rng(seed, 3, 0, p, k)
-            inst = games.sample_intersect_sc(k, p + 1, rng)
-            dist = gadgets.build_distance_gadget(inst)
-            reach = gadgets.build_reachability_gadget(inst)
-            match = gadgets.build_matching_gadget(inst)
-            nv_bad += dist.nv != (2 * p + 3) * k
-            nv_bad += reach.nv != (2 * p + 3) * k
-            nv_bad += match.nv != k * (4 * p + 6) - 2
+    nv_bad = len(vertex_count_errors(seed, 3, 0))
     rows.append(CheckResult("gadgets", "vertex-count-errors", nv_bad, "=0", nv_bad == 0))
 
-    t = trials or 200
+    t = 200 if trials is None else trials
     rng = derive_rng(seed, 3, 1)
     mism = 0
     floor_bad = 0
@@ -343,14 +400,8 @@ def _suite_gadgets(seed: int, trials: Optional[int]) -> list[CheckResult]:
         k = int(rng.integers(2, 9))
         depth = int(rng.integers(1, 4))
         inst = games.sample_intersect_sc(k, depth, rng, include_prob=float(rng.uniform(0.1, 0.5)))
-        truth = games.eval_intersect_sc(inst)
-        dist = gadgets.build_distance_gadget(inst)
-        reach = gadgets.build_reachability_gadget(inst)
-        match = gadgets.build_matching_gadget(inst)
-        d = oracles.oracle_distance(dist)
-        mism += (d <= 2 * depth) != bool(truth)
-        mism += oracles.oracle_reachable(reach) != truth
-        mism += oracles.oracle_perfect_matching(match) != truth
+        m, d, (dist, reach, match) = gadget_mismatches(inst)
+        mism += m
         floor_bad += d < 2 * depth
         try:
             oracles.two_color(match)
@@ -372,32 +423,52 @@ def _suite_gadgets(seed: int, trials: Optional[int]) -> list[CheckResult]:
 # --------------------------------------------------------- streaming suite
 
 
-def _identity_gadget_pair(k: int, depth: int) -> games.IntersectScInstance:
-    side = games.ScInstance(
-        k, depth, tuple(games.SetFunctionTable.identity(k) for _ in range(depth))
-    )
+def identity_instance(k: int, depth: int) -> games.IntersectScInstance:
+    """Both sides chase the singleton {x} -> {x}; the final sets intersect."""
+    side = games.ScInstance(k, depth, (games.SetFunctionTable.identity(k),) * depth)
     return games.IntersectScInstance(side, side)
+
+
+def identity_gadget_runs(k: int, depth: int, budget: int) -> dict[str, streaming.RunReport]:
+    """Reports of three baselines on the identity gadgets, by algorithm name."""
+    inst = identity_instance(k, depth)
+    dist = gadgets.build_distance_gadget(inst)
+    reach = gadgets.build_reachability_gadget(inst)
+    return {
+        "bidir-bfs": streaming.run_streaming(streaming.alg_bidirectional_bfs(2 * depth), dist, budget),
+        "forward-bfs": streaming.run_streaming(streaming.alg_forward_bfs(2 * depth), dist, budget),
+        "directed-frontier": streaming.run_streaming(streaming.alg_directed_frontier(), reach, budget),
+    }
+
+
+def union_find_state(draws_per_vertex: int, budget: int, *prefix: int) -> tuple[float, int]:
+    """Union-find on random simple graphs, nv in (16, 64, 256): the worst state
+    in nv * ceil(log2 nv) bits, and runs with a wrong answer or pass count."""
+    worst, bad = 0.0, 0
+    for nv in (16, 64, 256):
+        pairs = derive_rng(*prefix, nv).integers(0, nv, size=(draws_per_vertex * nv, 2))
+        edges = tuple((int(a), int(b)) for a, b in pairs if int(a) != int(b))
+        g = gadgets.GraphStream(nv, False, 0, nv - 1, 1, edges)
+        rep = streaming.run_streaming(streaming.alg_union_find(), g, budget)
+        worst = max(worst, rep.max_state_bits / (nv * max(1, (nv - 1).bit_length())))
+        conn = int(oracles.oracle_distance(g) < math.inf)
+        bad += rep.answer != conn or rep.passes_used != 1
+    return worst, bad
 
 
 def _suite_streaming(seed: int, trials: Optional[int]) -> list[CheckResult]:
     rows: list[CheckResult] = []
-    inst = _identity_gadget_pair(4, 2)
-    dist = gadgets.build_distance_gadget(inst)
-    reach = gadgets.build_reachability_gadget(inst)
+    runs = identity_gadget_runs(4, 2, 10)
+    for check, alg, want in (
+        ("bidir-bfs-gadget-passes", "bidir-bfs", 2),
+        ("forward-bfs-gadget-passes", "forward-bfs", 4),
+        ("frontier-chain-passes", "directed-frontier", 2),
+    ):
+        rep = runs[alg]
+        ok = rep.answer == 1 and rep.passes_used == want
+        rows.append(CheckResult("streaming", check, rep.passes_used, f"={want}", ok))
 
-    rep = streaming.run_streaming(streaming.alg_bidirectional_bfs(4), dist, 10)
-    ok = rep.answer == 1 and rep.passes_used == 2
-    rows.append(CheckResult("streaming", "bidir-bfs-gadget-passes", rep.passes_used, "=2", ok))
-
-    rep = streaming.run_streaming(streaming.alg_forward_bfs(4), dist, 10)
-    ok = rep.answer == 1 and rep.passes_used == 4
-    rows.append(CheckResult("streaming", "forward-bfs-gadget-passes", rep.passes_used, "=4", ok))
-
-    rep = streaming.run_streaming(streaming.alg_directed_frontier(), reach, 10)
-    ok = rep.answer == 1 and rep.passes_used == 2
-    rows.append(CheckResult("streaming", "frontier-chain-passes", rep.passes_used, "=2", ok))
-
-    t = trials or 120
+    t = 120 if trials is None else trials
     rng = derive_rng(seed, 4, 0)
     mism = 0
     uf_pass_bad = 0
@@ -428,20 +499,9 @@ def _suite_streaming(seed: int, trials: Optional[int]) -> list[CheckResult]:
     rows.append(CheckResult("streaming", "union-find-pass-errors", uf_pass_bad, "=0", uf_pass_bad == 0))
     rows.append(CheckResult("streaming", "reversal-oracle-changes", rev_bad, "=0", rev_bad == 0))
 
-    worst_ratio = 0.0
-    for nv in (16, 64, 256):
-        rng = derive_rng(seed, 4, 1, nv)
-        edges = tuple(
-            (int(a), int(b))
-            for a, b in rng.integers(0, nv, size=(3 * nv, 2))
-            if int(a) != int(b)
-        )
-        g = gadgets.GraphStream(nv, False, 0, nv - 1, 1, edges)
-        rep = streaming.run_streaming(streaming.alg_union_find(), g, 2)
-        worst_ratio = max(worst_ratio, rep.max_state_bits / (nv * max(1, (nv - 1).bit_length())))
-    rows.append(
-        CheckResult("streaming", "union-find-state-ratio", worst_ratio, "<=2", worst_ratio <= 2.0)
-    )
+    worst, uf_bad = union_find_state(3, 2, seed, 4, 1)
+    ok = worst <= 2.0 and uf_bad == 0
+    rows.append(CheckResult("streaming", "union-find-state-ratio", worst, "<=2", ok))
     return rows
 
 
@@ -455,7 +515,10 @@ SUITES: dict[str, Callable[[int, Optional[int]], list[CheckResult]]] = {
 
 
 def run_suite(name: str, seed: int, trials: Optional[int] = None) -> list[CheckResult]:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or all of them in a fixed order; `trials` >= 1
+    replaces the suites' default trial counts."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if name == "all":
         out: list[CheckResult] = []
         for key in ("info", "protocols", "reduction", "gadgets", "streaming"):

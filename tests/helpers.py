@@ -21,13 +21,6 @@ def identity_set_table(n: int) -> cb.SetFunctionTable:
     return set_table(n, [[x] for x in range(n)])
 
 
-def identity_instance(k: int, depth: int) -> cb.IntersectScInstance:
-    """Both sides chase the singleton {x} -> {x}; the final sets intersect."""
-    f = identity_set_table(k)
-    side = cb.ScInstance(k, depth, tuple([f] * depth))
-    return cb.IntersectScInstance(side, side)
-
-
 def intersect_instance(k: int, left_tables, right_tables) -> cb.IntersectScInstance:
     depth = len(left_tables)
     return cb.IntersectScInstance(

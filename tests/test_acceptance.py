@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-import chasebench as cb
-from chasebench import cli, gadgets, gameio, games, info, oracles, protocols, reduction, streaming
+from chasebench import cli, gadgets, games, info, reduction, streaming, verify
 from chasebench.util import derive_rng
-from helpers import all_set_tables, identity_instance, intersect_instance
+from helpers import all_set_tables, intersect_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -36,27 +35,11 @@ def announce(capfd):
 
 
 def test_criterion_01_reduction_completeness(announce):
-    n, p, t = 64, 2, 2
-    r = info.c_star_threshold(n)
     # the (n, p, t, r) point sits outside the soundness budget on purpose:
     # completeness is deterministic and needs no budget, so the feasibility
     # gate is switched off for this criterion only
-    rng = derive_rng(101)
     trials = 1000
-    failures = 0
-    done = 0
-    while done < trials:
-        inst = games.sample_uniform_or_lpce(n, p, r, t, rng)
-        items = list(inst.items)
-        j = int(rng.integers(t))
-        items[j] = games.force_equal(items[j])
-        inst = games.OrLpceInstance(t, tuple(items))
-        if any(games.is_r_non_injective(f, r) for it in inst.items for f in it.tables()):
-            continue
-        out = reduction.reduce_or_lpce(inst, rng, check_feasible=False)
-        assert not isinstance(out, reduction.ShortCircuit)
-        failures += games.eval_intersect_sc(out) != 1
-        done += 1
+    failures = verify.completeness_failures(derive_rng(101), trials, 64, 2, 2)
     announce(
         1, failures == 0, f"completeness {trials - failures}/{trials} forced-1 instances map to 1"
     )
@@ -68,22 +51,9 @@ def test_criterion_02_reduction_soundness(announce):
     assert reduction.feasible(n, p, r, t)
     bound = t ** (2 * p) * r ** (p - 1) / n
     assert bound <= 0.10
-    rng = derive_rng(102)
     trials = 2000
-    hits = 0
-    sizes = []
-    done = 0
-    while done < trials:
-        inst = games.sample_uniform_or_lpce(n, p, r, t, rng)
-        if games.eval_or_lpce(inst) != 0:
-            continue
-        out = reduction.reduce_or_lpce(inst, rng)
-        assert not isinstance(out, reduction.ShortCircuit)
-        inter = games.eval_sc(out.left) & games.eval_sc(out.right)
-        hits += bool(inter)
-        sizes.append(len(inter))
-        done += 1
-    rate = hits / trials
+    sizes = verify.soundness_sizes(derive_rng(102), trials, n, p, t)
+    rate = int((sizes > 0).sum()) / trials
     mean_size = float(np.mean(sizes))
     size_cap = bound + 3 * float(np.std(sizes)) / math.sqrt(trials)
     ok = rate <= 0.13 and mean_size <= size_cap
@@ -98,13 +68,8 @@ def test_criterion_02_reduction_soundness(announce):
 # --------------------------------------------------------------------- 3
 
 
-def _answers_agree(inst: games.IntersectScInstance) -> bool:
-    truth = games.eval_intersect_sc(inst)
-    depth = inst.p
-    dist = oracles.oracle_distance(gadgets.build_distance_gadget(inst))
-    reach = oracles.oracle_reachable(gadgets.build_reachability_gadget(inst))
-    pm = oracles.oracle_perfect_matching(gadgets.build_matching_gadget(inst))
-    return (int(dist <= 2 * depth), reach, pm) == (truth, truth, truth)
+def _disagrees(inst: games.IntersectScInstance) -> bool:
+    return verify.gadget_mismatches(inst)[0] > 0
 
 
 def test_criterion_03_gadget_equivalence(announce):
@@ -116,10 +81,10 @@ def test_criterion_03_gadget_equivalence(announce):
     tabs = all_set_tables(2)
     for lt, rt in itertools.product(tabs, tabs):
         checked += 1
-        mismatches += not _answers_agree(intersect_instance(2, (lt,), (rt,)))
+        mismatches += _disagrees(intersect_instance(2, (lt,), (rt,)))
     for l0, l1, r0, r1 in itertools.product(tabs, repeat=4):
         checked += 1
-        mismatches += not _answers_agree(intersect_instance(2, (l0, l1), (r0, r1)))
+        mismatches += _disagrees(intersect_instance(2, (l0, l1), (r0, r1)))
 
     # k=3 tier: the full cross product is far out of reach, so sweep every
     # table choice in one position at a time against identity elsewhere
@@ -129,7 +94,7 @@ def test_criterion_03_gadget_equivalence(announce):
             grid = [ident3] * 4
             grid[pos] = tab
             checked += 1
-            mismatches += not _answers_agree(intersect_instance(3, grid[:2], grid[2:]))
+            mismatches += _disagrees(intersect_instance(3, grid[:2], grid[2:]))
 
     rng = derive_rng(103)
     for _ in range(1000):
@@ -137,26 +102,18 @@ def test_criterion_03_gadget_equivalence(announce):
         depth = int(rng.integers(2, 5))
         inst = games.sample_intersect_sc(k, depth, rng, include_prob=float(rng.uniform(0.05, 0.5)))
         checked += 1
-        mismatches += not _answers_agree(inst)
+        mismatches += _disagrees(inst)
 
-    announce(3, mismatches == 0, f"oracle equivalence on {checked} instances, 0 mismatches")
+    announce(
+        3, mismatches == 0, f"oracle equivalence on {checked} instances, {mismatches} mismatches"
+    )
 
 
 # --------------------------------------------------------------------- 4
 
 
 def test_criterion_04_vertex_counts(announce):
-    bad = []
-    for p in (1, 2, 3):
-        for k in (2, 4, 8):
-            inst = games.sample_intersect_sc(k, p + 1, derive_rng(104, p, k))
-            nv_dist = gadgets.build_distance_gadget(inst).nv
-            nv_reach = gadgets.build_reachability_gadget(inst).nv
-            nv_match = gadgets.build_matching_gadget(inst).nv
-            if not (nv_dist == nv_reach == (2 * p + 3) * k):
-                bad.append((p, k, "path", nv_dist, nv_reach))
-            if nv_match != k * (4 * p + 6) - 2:
-                bad.append((p, k, "matching", nv_match))
+    bad = verify.vertex_count_errors(104)
     announce(4, not bad, f"vertex counts (2p+3)k and k(4p+6)-2 on 9 shapes{bad or ''}")
 
 
@@ -170,13 +127,7 @@ def test_criterion_05_protocol_exactness(announce):
     for _ in range(10 ** 4):
         p = int(rng.integers(1, 4))
         inst = games.sample_intersect_sc(n, p, rng, include_prob=float(rng.uniform(0.1, 0.6)))
-        truth = games.eval_intersect_sc(inst)
-        fwd, ftr = protocols.forward_sc_protocol(inst)
-        rev, rtr = protocols.reverse_order_sc_protocol(inst)
-        bad += fwd != truth or rev != truth
-        bad += max(r for r, _, _ in ftr.messages) + 1 != p
-        bad += protocols.set_message_bits(ftr, n) != 2 * p * n
-        bad += max(r for r, _, _ in rtr.messages) + 1 != 1
+        bad += sum(verify.protocol_errors(inst))
     announce(5, bad == 0, "forward/reverse agree with truth, p rounds, 2pn set bits, 10^4 trials")
 
 
@@ -184,27 +135,16 @@ def test_criterion_05_protocol_exactness(announce):
 
 
 def test_criterion_06_streaming_pass_counts(announce):
-    gadget = gadgets.build_distance_gadget(identity_instance(4, 2))
-
-    rep_bi = streaming.run_streaming(streaming.alg_bidirectional_bfs(4), gadget, 10)
-    rep_fw = streaming.run_streaming(streaming.alg_forward_bfs(4), gadget, 10)
-    ok = (rep_bi.answer, rep_bi.passes_used) == (1, 2) and (rep_fw.answer, rep_fw.passes_used) == (1, 4)
-
-    uf_ok = True
-    for nv in (16, 64, 256):
-        rng = derive_rng(106, nv)
-        edges = tuple(
-            (int(a), int(b)) for a, b in rng.integers(0, nv, size=(2 * nv, 2)) if int(a) != int(b)
-        )
-        g = gadgets.GraphStream(nv, False, 0, nv - 1, 1, edges)
-        rep = streaming.run_streaming(streaming.alg_union_find(), g, 3)
-        conn = int(oracles.oracle_distance(g) < math.inf)
-        uf_ok &= rep.answer == conn and rep.passes_used == 1
-        uf_ok &= rep.max_state_bits <= 2 * nv * max(1, (nv - 1).bit_length())
+    runs = verify.identity_gadget_runs(4, 2, 10)
+    ok = all(
+        (runs[alg].answer, runs[alg].passes_used) == (1, passes)
+        for alg, passes in (("bidir-bfs", 2), ("forward-bfs", 4))
+    )
+    worst_ratio, uf_bad = verify.union_find_state(2, 3, 106)
 
     announce(
         6,
-        ok and uf_ok,
+        ok and uf_bad == 0 and worst_ratio <= 2,
         "bidir-bfs 2 passes, forward-bfs 4 passes (gadget order), union-find 1 pass "
         "within 2n*ceil(log2 n) bits; reversed-order sub-claim reported separately",
     )
@@ -217,7 +157,7 @@ def test_criterion_06_streaming_pass_counts(announce):
     "for this algorithm (directed-frontier is the order-sensitive baseline)",
 )
 def test_criterion_06_forward_bfs_reversed_order_sub_claim(announce):
-    gadget = gadgets.build_distance_gadget(identity_instance(4, 2))
+    gadget = gadgets.build_distance_gadget(verify.identity_instance(4, 2))
     rep = streaming.run_streaming(
         streaming.alg_forward_bfs(4), gadgets.reverse_stream(gadget), 10
     )
@@ -231,52 +171,13 @@ def test_criterion_06_forward_bfs_reversed_order_sub_claim(announce):
 # --------------------------------------------------------------------- 7
 
 
-def _tilted(n: int, deficit: float) -> info.FiniteDistribution:
-    """One heavy atom sized by bisection so the entropy is log2(n) - deficit."""
-    target = math.log2(n) - deficit
-    lo, hi = 0.0, 1.0 - 1.0 / n - 1e-12
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        probs = np.full(n, (1.0 - 1.0 / n - mid) / (n - 1))
-        probs[0] = 1.0 / n + mid
-        if info.entropy(info.FiniteDistribution(probs)) > target:
-            lo = mid
-        else:
-            hi = mid
-    probs = np.full(n, (1.0 - 1.0 / n - lo) / (n - 1))
-    probs[0] = 1.0 / n + lo
-    return info.FiniteDistribution(probs)
-
-
 def test_criterion_07_information_bounds(announce):
-    delta = 48.0 ** -2
-    col_ok = True
-    for n in (4, 16, 64):
-        rep = info.collision_bounds_check(_tilted(n, delta), _tilted(n, delta / 2), delta)
-        col_ok &= bool(rep.applicable and rep.collision_holds and rep.distinct_holds)
-
-    rng = derive_rng(107, 0)
-    mix_bad = 0
-    for _ in range(10 ** 4):
-        x0 = info.FiniteDistribution(rng.dirichlet(np.ones(6)))
-        x1 = info.FiniteDistribution(rng.dirichlet(np.ones(6)))
-        y0 = float(rng.random())
-        rep = info.mixture_entropy_check(x0, x1, info.FiniteDistribution(np.array([y0, 1 - y0])))
-        mix_bad += rep.mixture_entropy > rep.upper_bound + 1e-9
-
-    rng = derive_rng(107, 1)
-    au_bad = 0
-    au_applicable = 0
-    for _ in range(2000):
-        n = int(rng.integers(8, 65))
-        gate = float(rng.random() * 1e-3)
-        d = _tilted(n, gate * float(rng.random()))
-        size = int(rng.integers(max(1, n // 2), n + 1))
-        rep = info.check_almost_uniform(d, rng.choice(n, size=size, replace=False), gate)
-        if rep.applicable:
-            au_applicable += 1
-            au_bad += not rep.holds
-    ok = col_ok and mix_bad == 0 and au_bad == 0 and au_applicable >= 500
+    col_bad = verify.collision_violations(48.0 ** -2)
+    mix_bad = verify.mixture_violations(
+        derive_rng(107, 0), 10 ** 4, lambda rng: info.FiniteDistribution(rng.dirichlet(np.ones(6)))
+    )
+    au_applicable, au_bad = verify.almost_uniform_violations(derive_rng(107, 1), 2000)
+    ok = col_bad == 0 and mix_bad == 0 and au_bad == 0 and au_applicable >= 500
     announce(
         7,
         ok,
@@ -289,28 +190,12 @@ def test_criterion_07_information_bounds(announce):
 
 
 def test_criterion_08_rejection_sampler(announce):
-    probs = np.full(8, 0.1)
-    probs[0] = 0.3
-    p = info.FiniteDistribution(probs)
-    starved = np.full(8, (1.0 - 0.004) / 7)
-    starved[0] = 0.004
-    q = info.FiniteDistribution(starved)
-    eps = 0.9
+    p, q, eps = verify.starved_pair()
     good = sorted(info.good_set(p, q, eps))
     stop = 2.0 ** (-(info.kl_divergence(p, q) + 1.0) / eps)
 
-    rng = derive_rng(108, 0)
     draws = 10 ** 5
-    counts = {i: 0 for i in good}
-    bottom = 0
-    steps = np.empty(draws)
-    for d in range(draws):
-        out = info.rejection_sample(p, q, eps, rng)
-        steps[d] = out.steps
-        if out.value is None:
-            bottom += 1
-        else:
-            counts[out.value] += 1
+    counts, bottom, steps = verify.rejection_draws(derive_rng(108, 0), draws, p, q, eps)
 
     w = float(p.probs[good].sum())
     expected = np.array([float(p.probs[i]) for i in good] + [1.0 - w]) * draws

@@ -326,6 +326,17 @@ def test_verify_needs_seed(capsys):
     assert code == 2 and "needs --seed" in err
 
 
+@pytest.mark.parametrize(
+    "suite,trials", [("protocols", "-1"), ("streaming", "-3"), ("info", "0")]
+)
+def test_verify_rejects_trials_below_one(capsys, suite, trials):
+    code, stdout, err = run_cli(
+        capsys, "verify", "--suite", suite, "--seed", "1", "--trials", trials
+    )
+    assert code == 2 and stdout == ""
+    assert err == f"error: trials must be at least 1, got {trials}\n"
+
+
 # ----------------------------------------------------- parser plumbing
 
 

@@ -4,7 +4,8 @@ import pytest
 
 import chasebench as cb
 from chasebench.errors import StreamFormatError
-from helpers import identity_instance, intersect_instance, set_table
+from chasebench.verify import identity_instance
+from helpers import intersect_instance, set_table
 
 # Tiny hand case, k=2 with one layer per side (q=1):
 #   left  f: 0 -> {1},  1 -> {}

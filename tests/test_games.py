@@ -205,6 +205,32 @@ def test_or_instance_requires_matching_items():
         cb.OrLpceInstance(2, (a,))  # wrong count
 
 
+def test_instances_differing_in_one_field_compare_unequal():
+    ident = cb.FunctionTable.identity(3)
+    swap = cb.FunctionTable(3, np.array([1, 0, 2]))
+    pc = cb.PcInstance(3, 2, (ident, ident))
+    pc_swap = cb.PcInstance(3, 2, (ident, swap))
+    item = cb.LpceInstance(pc, pc, 2)
+    sc = cb.ScInstance(3, 1, (identity_set_table(3),))
+    sc_drop = cb.ScInstance(3, 1, (set_table(3, [[0], [1], []]),))
+    pairs = [
+        (pc, pc_swap),
+        (sc, sc_drop),
+        (item, cb.LpceInstance(pc, pc_swap, 2)),
+        (item, cb.LpceInstance(pc, pc, 3)),
+        (cb.OrLpceInstance(1, (item,)), cb.OrLpceInstance(2, (item, item))),
+        (cb.IntersectScInstance(sc, sc), cb.IntersectScInstance(sc, sc_drop)),
+    ]
+    for a, b in pairs:
+        assert a == cb.parse_game(cb.serialize_game(a))
+        assert a != b and b != a
+        with pytest.raises(TypeError):
+            hash(a)
+    # same n, p and layer count, different kinds
+    assert pc != cb.ScInstance(3, 2, (identity_set_table(3),) * 2)
+    assert sc != cb.IntersectScInstance(sc, sc)
+
+
 def test_samplers_respect_requested_shape():
     rng = cb.derive_rng(9)
     sc = cb.sample_intersect_sc(6, 3, rng)

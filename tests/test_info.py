@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chasebench as cb
+from chasebench.verify import tilted
 
 # Threshold r(n) = smallest escape threshold making a uniform random function
 # r-non-injective with probability at most 1/(2n^2).  Values for n <= 12 were
@@ -99,26 +100,9 @@ def test_mutual_information_hand_values():
     assert cb.mutual_information(half) == pytest.approx(hx + hy - hxy)
 
 
-def _tilted(n: int, deficit: float) -> cb.FiniteDistribution:
-    """Distribution on [n] with entropy exactly log2(n) - deficit."""
-    lo, hi = 1.0 / n, 1.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        rest = (1 - mid) / (n - 1)
-        h = -(mid * math.log2(mid) + (n - 1) * rest * math.log2(rest))
-        if h < math.log2(n) - deficit:
-            hi = mid
-        else:
-            lo = mid
-    heavy = 0.5 * (lo + hi)
-    probs = np.full(n, (1 - heavy) / (n - 1))
-    probs[0] = heavy
-    return cb.FiniteDistribution(probs / probs.sum())
-
-
 def test_almost_uniform_gate_and_bound():
     delta = 48.0**-2
-    d = _tilted(64, delta / 2)
+    d = tilted(64, delta / 2)
     s = list(range(32))
     report = cb.check_almost_uniform(d, s, delta)
     assert report.applicable and report.holds
@@ -147,7 +131,7 @@ def test_almost_uniform_holds_on_random_mild_tilts():
     checked = 0
     for _ in range(200):
         n = int(rng.choice([16, 64, 256]))
-        d = _tilted(n, float(rng.uniform(0, delta)))
+        d = tilted(n, float(rng.uniform(0, delta)))
         size = int(rng.integers(n // 2, n + 1))
         s = rng.choice(n, size=size, replace=False)
         report = cb.check_almost_uniform(d, s.tolist(), delta)
@@ -160,8 +144,8 @@ def test_almost_uniform_holds_on_random_mild_tilts():
 def test_collision_bounds_on_near_uniform_pairs():
     delta = 48.0**-2
     for n in (4, 16, 64):
-        x = _tilted(n, delta * 0.9)
-        y = _tilted(n, delta * 0.5)
+        x = tilted(n, delta * 0.9)
+        y = tilted(n, delta * 0.5)
         report = cb.collision_bounds_check(x, y, delta)
         assert report.applicable
         collision = float(np.dot(x.probs, y.probs))

@@ -2,6 +2,7 @@
 import math
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -122,3 +123,41 @@ def test_perfect_matching_exhaustive_tiny_bipartite():
         edges = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
         s = cb.GraphStream(4, False, 0, 3, 0, edges)
         assert cb.oracle_perfect_matching(s) == _brute_perfect_matching(4, edges)
+
+
+def _nx_graph(s):
+    g = nx.DiGraph() if s.directed else nx.Graph()
+    g.add_nodes_from(range(s.nv))
+    g.add_edges_from(s.edges)
+    return g
+
+
+def test_oracles_agree_with_networkx_on_sampled_gadgets():
+    # the criterion-03 sampled family: k in [2, 16], depth in [2, 4]
+    rng = cb.derive_rng(72)
+    answers = set()
+    for _ in range(300):
+        k = int(rng.integers(2, 17))
+        depth = int(rng.integers(2, 5))
+        inst = cb.sample_intersect_sc(k, depth, rng, include_prob=float(rng.uniform(0.05, 0.5)))
+
+        dist = cb.build_distance_gadget(inst)
+        g = _nx_graph(dist)
+        want = (
+            nx.shortest_path_length(g, dist.src, dist.dst)
+            if nx.has_path(g, dist.src, dist.dst)
+            else math.inf
+        )
+        assert cb.oracle_distance(dist) == want
+
+        reach = cb.build_reachability_gadget(inst)
+        reachable = int(nx.has_path(_nx_graph(reach), reach.src, reach.dst))
+        assert cb.oracle_reachable(reach) == reachable
+
+        match = cb.build_matching_gadget(inst)
+        g = _nx_graph(match)
+        top = [v for v, side in nx.bipartite.color(g).items() if side == 0]
+        matched = nx.bipartite.hopcroft_karp_matching(g, top_nodes=top)
+        assert cb.oracle_perfect_matching(match) == int(len(matched) == match.nv)
+        answers.add(reachable)
+    assert answers == {0, 1}

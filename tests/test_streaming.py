@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chasebench as cb
-from helpers import identity_instance
+from chasebench.verify import identity_instance
 
 
 def _connectivity_stream(seed, nv=24, density=0.12):
