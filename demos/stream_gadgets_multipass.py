@@ -58,11 +58,12 @@ for label, s in (("gadget order", chain), ("reversed", gadgets.reverse_stream(ch
 
 # State snapshots at pass boundaries are first-class: serialize, drop
 # everything, restore into a fresh algorithm, and finish the run.
+edges = chain.edges.tolist()
 alg = streaming.alg_forward_bfs(2 * (chain.p + 1))
 alg.init(streaming.StreamMeta.of(chain))
 for _ in range(2):
     alg.begin_pass()
-    for a, b in chain.edges:
+    for a, b in edges:
         alg.observe_edge(a, b)
     alg.end_pass()
 blob = alg.serialize_state()
@@ -74,7 +75,7 @@ resumed.restore_state(blob)
 answer = None
 while answer is None:
     resumed.begin_pass()
-    for a, b in chain.edges:
+    for a, b in edges:
         resumed.observe_edge(a, b)
     answer = resumed.end_pass()
 print("resumed run answer:", answer)

@@ -7,179 +7,32 @@ intersection, graph gadgets whose distance / reachability / matching
 answers encode the game answer, a pass-counting streaming harness, and
 a small information-theory toolkit.
 """
-from .errors import (
-    GameFormatError,
-    InfeasibleParametersError,
-    ProtocolError,
-    StreamFormatError,
-)
-from .games import (
-    FunctionTable,
-    IntersectScInstance,
-    LpceInstance,
-    OrLpceInstance,
-    PcInstance,
-    ScInstance,
-    SetFunctionTable,
-    eval_equal_pc,
-    eval_intersect_sc,
-    eval_lpce,
-    eval_or_lpce,
-    eval_pc,
-    eval_sc,
-    force_equal,
-    is_r_non_injective,
-    sample_intersect_sc,
-    sample_set_function,
-    sample_uniform_function,
-    sample_uniform_lpce,
-    sample_uniform_or_lpce,
-    sample_uniform_pc,
-    vec_apply,
-)
-from .gameio import parse_game, serialize_game
-from .protocols import (
-    Schedule,
-    Transcript,
-    forward_sc_protocol,
-    reverse_order_sc_protocol,
-    run_protocol,
-    set_message_bits,
-)
-from .reduction import (
-    EndToEndReport,
-    PermutationFamily,
-    ReductionParams,
-    ShortCircuit,
-    choose_params,
-    end_to_end_solve,
-    feasible,
-    overlay,
-    reduce_or_lpce,
-    sample_permutation_family,
-    scramble,
-)
-from .gadgets import (
-    GadgetLayout,
-    GraphStream,
-    MatchingLayout,
-    build_distance_gadget,
-    build_matching_gadget,
-    build_reachability_gadget,
-    parse_stream,
-    reverse_stream,
-    serialize_stream,
-)
-from .oracles import (
-    oracle_distance,
-    oracle_perfect_matching,
-    oracle_reachable,
-    two_color,
-)
-from .streaming import (
-    ALGORITHMS,
-    RunReport,
-    StreamingAlgorithm,
-    StreamMeta,
-    alg_bidirectional_bfs,
-    alg_directed_frontier,
-    alg_forward_bfs,
-    alg_union_find,
-    run_streaming,
-)
-from .info import (
-    FiniteDistribution,
-    c_star_threshold,
-    check_almost_uniform,
-    collision_bounds_check,
-    entropy,
-    good_set,
-    kl_divergence,
-    mixture_entropy_check,
-    mutual_information,
-    rejection_sample,
-)
+from . import gadgets, gameio, games, info, oracles, protocols, reduction, streaming
+from .errors import GameFormatError, InfeasibleParametersError, ProtocolError, StreamFormatError
+from .gadgets import *
+from .gameio import *
+from .games import *
+from .info import *
+from .oracles import *
+from .protocols import *
+from .reduction import *
+from .streaming import *
 from .util import derive_rng
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
-    "EndToEndReport",
-    "FiniteDistribution",
-    "FunctionTable",
-    "GadgetLayout",
     "GameFormatError",
-    "GraphStream",
     "InfeasibleParametersError",
-    "IntersectScInstance",
-    "LpceInstance",
-    "MatchingLayout",
-    "OrLpceInstance",
-    "PcInstance",
-    "PermutationFamily",
     "ProtocolError",
-    "ReductionParams",
-    "RunReport",
-    "ScInstance",
-    "Schedule",
-    "SetFunctionTable",
-    "ShortCircuit",
     "StreamFormatError",
-    "StreamMeta",
-    "StreamingAlgorithm",
-    "Transcript",
-    "alg_bidirectional_bfs",
-    "alg_directed_frontier",
-    "alg_forward_bfs",
-    "alg_union_find",
-    "build_distance_gadget",
-    "build_matching_gadget",
-    "build_reachability_gadget",
-    "c_star_threshold",
-    "check_almost_uniform",
-    "choose_params",
-    "collision_bounds_check",
     "derive_rng",
-    "end_to_end_solve",
-    "entropy",
-    "eval_equal_pc",
-    "eval_intersect_sc",
-    "eval_lpce",
-    "eval_or_lpce",
-    "eval_pc",
-    "eval_sc",
-    "feasible",
-    "force_equal",
-    "forward_sc_protocol",
-    "good_set",
-    "is_r_non_injective",
-    "kl_divergence",
-    "mixture_entropy_check",
-    "mutual_information",
-    "oracle_distance",
-    "oracle_perfect_matching",
-    "oracle_reachable",
-    "overlay",
-    "parse_game",
-    "parse_stream",
-    "reduce_or_lpce",
-    "rejection_sample",
-    "reverse_order_sc_protocol",
-    "reverse_stream",
-    "run_protocol",
-    "run_streaming",
-    "sample_intersect_sc",
-    "sample_permutation_family",
-    "sample_set_function",
-    "sample_uniform_function",
-    "sample_uniform_lpce",
-    "sample_uniform_or_lpce",
-    "sample_uniform_pc",
-    "scramble",
-    "vec_apply",
-    "serialize_game",
-    "serialize_stream",
-    "set_message_bits",
-    "two_color",
+    *gadgets.__all__,
+    *gameio.__all__,
+    *games.__all__,
+    *info.__all__,
+    *oracles.__all__,
+    *protocols.__all__,
+    *reduction.__all__,
+    *streaming.__all__,
 ]

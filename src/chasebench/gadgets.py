@@ -9,10 +9,14 @@ the hard instance for p = q - 1 passes, recorded in the stream header.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
+
+import numpy as np
 
 from .errors import StreamFormatError
-from .games import IntersectScInstance, ScInstance
+from .games import IntersectScInstance
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 __all__ = [
     "GraphStream",
@@ -27,12 +31,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphStream:
     """An edge stream with a two-vertex query and a pass-budget tag.
 
-    Edges arrive in tuple order.  For undirected streams the per-edge pair
-    order is presentational only.
+    edges is a read-only, C-contiguous (ne, 2) int64 array; row i is the
+    i-th edge to arrive.  For undirected streams the per-edge pair order is
+    presentational only.
     """
 
     nv: int
@@ -40,27 +45,44 @@ class GraphStream:
     src: int
     dst: int
     p: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.nv < 1:
             raise ValueError("nv must be positive")
+        if self.nv > _INT64_MAX:
+            raise ValueError("nv must fit int64")
         if self.p < 0:
             raise ValueError("pass tag must be non-negative")
         for endpoint in (self.src, self.dst):
             if not 0 <= endpoint < self.nv:
                 raise ValueError(f"query vertex {endpoint} outside [0, {self.nv})")
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
-        for a, b in edges:
+        edges = np.array(self.edges, dtype=np.int64, order="C")
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must have shape (ne, 2), got {edges.shape}")
+        loops = edges[:, 0] == edges[:, 1]
+        # viewed as uint64 a negative endpoint wraps past 2**63 > nv, so one max checks both ends
+        if edges.size and edges.view(np.uint64).max() >= self.nv or np.count_nonzero(loops):
+            bad = loops | (edges.view(np.uint64) >= self.nv).any(axis=1)
+            a, b = edges[bad.argmax()].tolist()
             if not (0 <= a < self.nv and 0 <= b < self.nv):
                 raise ValueError(f"edge ({a}, {b}) outside [0, {self.nv})")
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
+            raise ValueError(f"self-loop at vertex {a}")
+        edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
     @property
     def ne(self) -> int:
         return len(self.edges)
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphStream):
+            return NotImplemented
+        return (self.nv, self.directed, self.src, self.dst, self.p) == (
+            other.nv, other.directed, other.src, other.dst, other.p
+        ) and np.array_equal(self.edges, other.edges)
 
 
 @dataclass(frozen=True)
@@ -101,34 +123,50 @@ class GadgetLayout:
         return vid % self.k
 
 
-def _left_blocks(side: ScInstance, layout: GadgetLayout) -> list[list[tuple[int, int]]]:
-    # block for layer i spans columns depth-1-i <-> depth-i, domain on the left
-    q = layout.depth
-    blocks = []
-    for i in range(q):
-        table = side.funcs[i]
-        block = [
-            (layout.vid(q - 1 - i, x), layout.vid(q - i, int(y)))
-            for x in range(layout.k)
-            for y in table.image(x)
-        ]
-        blocks.append(sorted(block))
-    return blocks
+def _table_blocks(inst: IntersectScInstance) -> Iterator[tuple[int, list, int, list]]:
+    """(domain column, domain slots, image column, image slots) for each of
+    the 2*depth tables, in stream order: left layers, then right.
+
+    Left layer i maps column depth-1-i into depth-i and right layer i maps
+    depth+1+i into depth+i, so layer 0 of each side is its outermost table.
+    The slot lists hold one int per edge, in table order: by domain slot,
+    then ascending image slot.
+    """
+    q = inst.p
+    for side, step in ((inst.left, -1), (inst.right, 1)):
+        for i, table in enumerate(side.funcs):
+            offsets = table.offsets.tolist()
+            dslots = [x for x in range(table.n) for _ in range(offsets[x + 1] - offsets[x])]
+            yield q + step * (i + 1), dslots, q + step * i, table.values.tolist()
 
 
-def _right_blocks(side: ScInstance, layout: GadgetLayout) -> list[list[tuple[int, int]]]:
-    # mirrored: layer i spans columns depth+1+i <-> depth+i, domain on the right
-    q = layout.depth
-    blocks = []
-    for i in range(q):
-        table = side.funcs[i]
-        block = [
-            (layout.vid(q + 1 + i, x), layout.vid(q + i, int(y)))
-            for x in range(layout.k)
-            for y in table.image(x)
-        ]
-        blocks.append(sorted(block))
-    return blocks
+def _upward(inst: IntersectScInstance, low_id, high_id) -> tuple[list, list]:
+    """Every table edge written (lower column's endpoint, higher column's
+    endpoint), block by block, each block sorted by (first, second).
+
+    The endpoints are low_id(col, slot) and high_id(col, slot), which must
+    both be of the form base(col) + slot.  In table order a block whose
+    domain is the lower column is already sorted; a block whose image is
+    the lower column is sorted by a stable sort on its image slots, which
+    keeps the domain slots ascending within each image slot.
+    """
+    a: list[int] = []
+    b: list[int] = []
+    for dcol, dslots, icol, islots in _table_blocks(inst):
+        if dcol < icol:
+            low, high = low_id(dcol, 0), high_id(icol, 0)
+            a += [low + x for x in dslots]
+            b += [high + y for y in islots]
+        else:
+            low, high = low_id(icol, 0), high_id(dcol, 0)
+            order = sorted(range(len(islots)), key=islots.__getitem__)
+            a += [low + islots[i] for i in order]
+            b += [high + dslots[i] for i in order]
+    return a, b
+
+
+def _edge_array(a: list, b: list) -> np.ndarray:
+    return np.array((a, b), dtype=np.int64).T
 
 
 def build_distance_gadget(inst: IntersectScInstance) -> GraphStream:
@@ -145,10 +183,13 @@ def build_distance_gadget(inst: IntersectScInstance) -> GraphStream:
     """
     k, q = inst.n, inst.p
     layout = GadgetLayout(k, q)
-    edges: list[tuple[int, int]] = []
-    for block in _left_blocks(inst.left, layout) + _right_blocks(inst.right, layout):
-        edges.extend(block)
-    return GraphStream(layout.nv, False, layout.u, layout.v, q - 1, tuple(edges))
+    a: list[int] = []
+    b: list[int] = []
+    # table order is already (domain, image) order, so no sort is needed
+    for dcol, dslots, icol, islots in _table_blocks(inst):
+        a += [dcol * k + x for x in dslots]
+        b += [icol * k + y for y in islots]
+    return GraphStream(layout.nv, False, layout.u, layout.v, q - 1, _edge_array(a, b))
 
 
 def build_reachability_gadget(inst: IntersectScInstance) -> GraphStream:
@@ -161,12 +202,8 @@ def build_reachability_gadget(inst: IntersectScInstance) -> GraphStream:
     """
     k, q = inst.n, inst.p
     layout = GadgetLayout(k, q)
-    edges: list[tuple[int, int]] = []
-    for block in _left_blocks(inst.left, layout):
-        edges.extend(block)
-    for block in _right_blocks(inst.right, layout):
-        edges.extend(sorted((b, a) for a, b in block))
-    return GraphStream(layout.nv, True, layout.u, layout.v, q - 1, tuple(edges))
+    edges = _edge_array(*_upward(inst, layout.vid, layout.vid))
+    return GraphStream(layout.nv, True, layout.u, layout.v, q - 1, edges)
 
 
 @dataclass(frozen=True)
@@ -227,53 +264,36 @@ def build_matching_gadget(inst: IntersectScInstance) -> GraphStream:
     """
     k, q = inst.n, inst.p
     lay = MatchingLayout(k, q)
-    edges: list[tuple[int, int]] = []
-    for x in range(1, k):
-        edges.append((x, lay.pendant_left(x)))
-    for c in range(1, 2 * q):
-        for x in range(k):
-            edges.append((lay.in_id(c, x), lay.out_id(c, x)))
-    for x in range(1, k):
-        edges.append((lay.v + x, lay.pendant_right(x)))
-
-    def remap(block: Iterable[tuple[int, int]], domain_col: int, image_col: int):
-        # gadget edge always joins the lower column's out-copy to the higher's in-copy
-        if domain_col < image_col:
-            out_col, in_col = domain_col, image_col
-            pairs = [(a % k, b % k) for a, b in block]
-        else:
-            out_col, in_col = image_col, domain_col
-            pairs = [(b % k, a % k) for a, b in block]
-        return sorted((lay.out_id(out_col, ox), lay.in_id(in_col, ix)) for ox, ix in pairs)
-
-    plain = GadgetLayout(k, q)
-    for i, block in enumerate(_left_blocks(inst.left, plain)):
-        edges.extend(remap(block, q - 1 - i, q - i))
-    for i, block in enumerate(_right_blocks(inst.right, plain)):
-        edges.extend(remap(block, q + 1 + i, q + i))
-    return GraphStream(lay.nv, False, lay.u, lay.v, q - 1, tuple(edges))
+    cols = range(1, 2 * q)
+    free_a = [
+        *range(1, k),
+        *(lay.in_id(c, x) for c in cols for x in range(k)),
+        *range(lay.v + 1, lay.v + k),
+    ]
+    free_b = [
+        *map(lay.pendant_left, range(1, k)),
+        *(lay.out_id(c, x) for c in cols for x in range(k)),
+        *map(lay.pendant_right, range(1, k)),
+    ]
+    a, b = _upward(inst, lay.out_id, lay.in_id)
+    edges = _edge_array(free_a + a, free_b + b)
+    return GraphStream(lay.nv, False, lay.u, lay.v, q - 1, edges)
 
 
 def reverse_stream(stream: GraphStream) -> GraphStream:
     """Same graph and query, edges arriving in the opposite order."""
     return GraphStream(
-        stream.nv,
-        stream.directed,
-        stream.src,
-        stream.dst,
-        stream.p,
-        tuple(reversed(stream.edges)),
+        stream.nv, stream.directed, stream.src, stream.dst, stream.p, stream.edges[::-1]
     )
 
 
 def serialize_stream(stream: GraphStream) -> str:
     kind = "directed" if stream.directed else "undirected"
-    lines = [
+    header = (
         f"graphstream v1 {kind} nv={stream.nv} ne={stream.ne} "
-        f"src={stream.src} dst={stream.dst} p={stream.p}"
-    ]
-    lines.extend(f"{a} {b}" for a, b in stream.edges)
-    return "\n".join(lines) + "\n"
+        f"src={stream.src} dst={stream.dst} p={stream.p}\n"
+    )
+    return header + "%d %d\n" * stream.ne % tuple(stream.edges.ravel().tolist())
 
 
 def _header_int(token: str, key: str, lineno: int) -> int:
@@ -284,6 +304,8 @@ def _header_int(token: str, key: str, lineno: int) -> int:
         value = int(token[len(prefix):])
     except ValueError:
         raise StreamFormatError(f"line {lineno}: bad integer in {token!r}") from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise StreamFormatError(f"line {lineno}: {key}={value} does not fit int64")
     return value
 
 
@@ -307,7 +329,7 @@ def parse_stream(text: str) -> GraphStream:
     p = _header_int(header[7], "p", 1)
     if len(lines) - 1 != ne:
         raise StreamFormatError(f"line 1: header says ne={ne} but found {len(lines) - 1} edge lines")
-    edges = []
+    flat = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 2:
@@ -318,8 +340,11 @@ def parse_stream(text: str) -> GraphStream:
             raise StreamFormatError(f"line {lineno}: bad integer in {line!r}") from None
         if not (0 <= a < nv and 0 <= b < nv):
             raise StreamFormatError(f"line {lineno}: endpoint outside [0, {nv})")
-        edges.append((a, b))
+        if a == b:
+            raise StreamFormatError(f"line {lineno}: self-loop at vertex {a}")
+        flat.append(a)
+        flat.append(b)
     try:
-        return GraphStream(nv, directed, src, dst, p, tuple(edges))
+        return GraphStream(nv, directed, src, dst, p, np.array(flat, dtype=np.int64).reshape(-1, 2))
     except ValueError as exc:
         raise StreamFormatError(f"line 1: {exc}") from None

@@ -21,7 +21,8 @@ __all__ = ["oracle_distance", "oracle_reachable", "oracle_perfect_matching", "tw
 
 def _adjacency(stream: GraphStream) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(stream.nv)]
-    for a, b in stream.edges:
+    sources, targets = stream.edges.T.tolist()
+    for a, b in zip(sources, targets):
         adj[a].append(b)
         if not stream.directed:
             adj[b].append(a)
@@ -106,14 +107,13 @@ def oracle_perfect_matching(stream: GraphStream) -> int:
     col_of = np.full(stream.nv, -1)
     row_of[left] = np.arange(left.size)
     col_of[right] = np.arange(right.size)
-    rows, cols = [], []
-    for a, b in stream.edges:
-        if color[a] == 1:
-            a, b = b, a
-        rows.append(row_of[a])
-        cols.append(col_of[b])
+    # the coloring is proper, so each edge has one endpoint per side; the
+    # other endpoint's slot on that side is -1
+    a, b = stream.edges[:, 0], stream.edges[:, 1]
+    rows = np.maximum(row_of[a], row_of[b])
+    cols = np.maximum(col_of[a], col_of[b])
     bi = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(left.size, right.size)
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(left.size, right.size)
     )
     matched = maximum_bipartite_matching(bi, perm_type="column")
     return int((matched >= 0).sum() == left.size)

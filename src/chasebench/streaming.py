@@ -104,10 +104,11 @@ def run_streaming(alg: StreamingAlgorithm, stream: GraphStream, pass_budget: int
     answer = alg.init(StreamMeta.of(stream))
     max_bits = _checkpoint(alg)
     passes = 0
+    edges = stream.edges.tolist()
     while answer is None and passes < pass_budget:
         passes += 1
         alg.begin_pass()
-        for a, b in stream.edges:
+        for a, b in edges:
             alg.observe_edge(a, b)
         answer = alg.end_pass()
         max_bits = max(max_bits, _checkpoint(alg))

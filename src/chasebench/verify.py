@@ -195,7 +195,7 @@ def _suite_info(seed: int, trials: Optional[int]) -> list[CheckResult]:
     p8, q8, eps8 = starved_pair()
     c8 = 2.0 ** (-(info.kl_divergence(p8, q8) + 1.0) / eps8)
     good8 = info.good_set(p8, q8, eps8)
-    draws = min(t * 3, 6000)
+    draws = 6000
     counts, _, steps = rejection_draws(derive_rng(seed, 0, 7), draws, p8, q8, eps8)
     expected = np.array([p8.probs[i] if i in good8 else 0.0 for i in range(8)])
     expected /= expected.sum()
@@ -447,8 +447,7 @@ def union_find_state(draws_per_vertex: int, budget: int, *prefix: int) -> tuple[
     worst, bad = 0.0, 0
     for nv in (16, 64, 256):
         pairs = derive_rng(*prefix, nv).integers(0, nv, size=(draws_per_vertex * nv, 2))
-        edges = tuple((int(a), int(b)) for a, b in pairs if int(a) != int(b))
-        g = gadgets.GraphStream(nv, False, 0, nv - 1, 1, edges)
+        g = gadgets.GraphStream(nv, False, 0, nv - 1, 1, pairs[pairs[:, 0] != pairs[:, 1]])
         rep = streaming.run_streaming(streaming.alg_union_find(), g, budget)
         worst = max(worst, rep.max_state_bits / (nv * max(1, (nv - 1).bit_length())))
         conn = int(oracles.oracle_distance(g) < math.inf)

@@ -310,6 +310,12 @@ def test_verify_writes_csv_and_exits_0(capsys, tmp_path):
     assert text.splitlines()[0] == "suite,check,measured,threshold,passed"
 
 
+def test_verify_info_at_few_trials_exits_0(capsys):
+    # the sampler-law row draws 6000 samples whatever --trials is
+    code, _, err = run_cli(capsys, "verify", "--suite", "info", "--seed", "1", "--trials", "40")
+    assert code == 0 and err == ""
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     def rigged(name, seed, trials=None):
         return [verify.CheckResult(name, "rigged", 1, "=0", False)]
@@ -355,6 +361,13 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("scgame v1 kind=intersectsc n=4 p=1\n")
+
+
+def test_stream_gadgets_demo_smoke():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "stream_gadgets_multipass.py"
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "resumed run answer: 1" in proc.stdout
 
 
 def test_malformed_game_file_exits_2(capsys, tmp_path):

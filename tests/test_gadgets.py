@@ -1,6 +1,11 @@
 """Gadget geometry frozen by hand plus stream format round-trips."""
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chasebench as cb
 from chasebench.errors import StreamFormatError
@@ -24,7 +29,7 @@ def test_distance_gadget_hand_edges():
     d = cb.build_distance_gadget(_tiny())
     assert (d.nv, d.src, d.dst, d.p, d.directed) == (6, 0, 4, 0, False)
     # left block connects col 0 to col 1 (domain first); right col 2 to col 1
-    assert d.edges == ((0, 3), (4, 2), (5, 2), (5, 3))
+    assert d.edges.tolist() == [[0, 3], [4, 2], [5, 2], [5, 3]]
     assert cb.oracle_distance(d) == 4  # goes around: 0-3-5-2-4
 
 
@@ -32,7 +37,7 @@ def test_reachability_gadget_hand_edges():
     g = cb.build_reachability_gadget(_tiny())
     assert (g.nv, g.src, g.dst, g.p, g.directed) == (6, 0, 4, 0, True)
     # right block is re-pointed toward the higher column and re-sorted
-    assert g.edges == ((0, 3), (2, 4), (2, 5), (3, 5))
+    assert g.edges.tolist() == [[0, 3], [2, 4], [2, 5], [3, 5]]
     assert cb.oracle_reachable(g) == 0
 
 
@@ -40,10 +45,10 @@ def test_matching_gadget_hand_edges():
     m = cb.build_matching_gadget(_tiny())
     # vertices: col0 (0,1), in1 (2,3), out1 (4,5), col2 (6,7), pendants (8,9)
     assert (m.nv, m.src, m.dst, m.directed) == (10, 0, 6, False)
-    free = ((1, 8), (2, 4), (3, 5), (7, 9))
-    left_block = ((0, 3),)
-    right_block = ((4, 6), (4, 7), (5, 7))
-    assert m.edges == free + left_block + right_block
+    free = [[1, 8], [2, 4], [3, 5], [7, 9]]
+    left_block = [[0, 3]]
+    right_block = [[4, 6], [4, 7], [5, 7]]
+    assert m.edges.tolist() == free + left_block + right_block
     assert cb.oracle_perfect_matching(m) == 0
 
 
@@ -98,9 +103,9 @@ def test_stream_is_left_blocks_then_right_blocks():
         # single forward scan cannot chase through it on the first pass
         for i in range(q):
             f = chase.funcs[i]
-            block = d.edges[pos:pos + f.total_image_size()]
+            block = d.edges[pos:pos + f.total_image_size()].tolist()
             pos += len(block)
-            assert list(block) == sorted(block)
+            assert block == sorted(block)
             cols = {(d.p + 1 - 1 - i, d.p + 1 - i) if side == 0 else (d.p + 2 + i, d.p + 1 + i)}
             lay = cb.GadgetLayout(inst.n, q)
             for a, b in block:
@@ -111,7 +116,7 @@ def test_stream_is_left_blocks_then_right_blocks():
 def test_reverse_stream():
     g = cb.build_reachability_gadget(_tiny())
     rev = cb.reverse_stream(g)
-    assert rev.edges == tuple(reversed(g.edges))
+    assert rev.edges.tolist() == g.edges.tolist()[::-1]
     assert (rev.nv, rev.src, rev.dst, rev.p, rev.directed) == (
         g.nv, g.src, g.dst, g.p, g.directed,
     )
@@ -129,6 +134,38 @@ def test_graph_stream_validation():
         cb.GraphStream(2, False, 0, 2, 0, ())  # dst out of range
     with pytest.raises(ValueError):
         cb.GraphStream(2, False, 0, 1, -1, ())
+    with pytest.raises(ValueError, match="shape"):
+        cb.GraphStream(3, False, 0, 1, 0, ((0, 1, 2),))  # not (ne, 2)
+    with pytest.raises(ValueError, match="shape"):
+        cb.GraphStream(3, False, 0, 1, 0, (0, 1))
+
+
+def test_graph_stream_copies_and_freezes_its_edges():
+    given_edges = np.asfortranarray([[0, 1], [1, 2], [2, 0]])
+    s = cb.GraphStream(3, True, 0, 2, 0, given_edges)
+    given_edges[0, 0] = 2
+    assert s.edges.tolist() == [[0, 1], [1, 2], [2, 0]]
+    assert s.edges.dtype == np.int64 and s.edges.flags.c_contiguous
+    assert not s.edges.flags.writeable
+    with pytest.raises(ValueError):
+        s.edges[0, 0] = 1
+    assert cb.GraphStream(3, True, 0, 2, 0, ()).edges.shape == (0, 2)
+
+
+def test_graph_stream_equality_covers_every_field():
+    s = cb.GraphStream(4, False, 0, 3, 1, ((0, 1), (1, 3)))
+    assert s == cb.GraphStream(4, False, 0, 3, 1, np.array([[0, 1], [1, 3]]))
+    for change in (
+        {"nv": 5},
+        {"directed": True},
+        {"src": 1},
+        {"dst": 2},
+        {"p": 0},
+        {"edges": ((1, 3), (0, 1))},
+        {"edges": ((0, 1),)},
+    ):
+        assert s != replace(s, **change), change
+    assert (s == object()) is False
 
 
 def test_serialize_stream_exact_text():
@@ -192,6 +229,9 @@ def test_matching_gadget_is_bipartite():
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n0 5\n", "outside"),
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n0 a\n", "integer"),
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n1 1\n", "self-loop"),
+        ("graphstream v1 directed nv=100000000000000000000 ne=0 src=0 dst=1 p=0\n", "fit int64"),
+        ("graphstream v1 directed nv=2 ne=0 src=0 dst=1 p=-9223372036854775809\n", "fit int64"),
+        ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n0 100000000000000000000\n", "outside"),
     ],
 )
 def test_parse_stream_rejects_malformed_text(text, fragment):
@@ -201,10 +241,64 @@ def test_parse_stream_rejects_malformed_text(text, fragment):
 
 
 def test_parse_stream_reports_line_numbers():
-    text = "graphstream v1 directed nv=2 ne=2 src=0 dst=1 p=0\n0 1\n1 9\n"
-    with pytest.raises(StreamFormatError) as err:
-        cb.parse_stream(text)
-    assert "line 3" in str(err.value)
+    for text, message in (
+        ("graphstream v1 directed nv=2 ne=2 src=0 dst=1 p=0\n0 1\n1 9\n", "line 3"),
+        (
+            "graphstream v1 directed nv=3 ne=3 src=0 dst=1 p=0\n0 1\n1 2\n2 2\n",
+            "line 4: self-loop at vertex 2",
+        ),
+        (
+            "graphstream v1 directed nv=3 ne=2 src=0 dst=1 p=0\n0 1\n-99999999999999999999 2\n",
+            "line 3: endpoint outside [0, 3)",
+        ),
+    ):
+        with pytest.raises(StreamFormatError) as err:
+            cb.parse_stream(text)
+        assert str(err.value).startswith(message)
+
+
+def _fuzz_int(draw, low: int, high: int) -> int:
+    """Mostly in [low, high]; now and then just past it, or past int64."""
+    if draw(st.integers(0, 14)):
+        return draw(st.integers(low, high))
+    return draw(st.sampled_from([low - 1, high + 1, 2**63 - 1, 2**63, -(2**63) - 1]))
+
+
+def _fuzz_text(draw, value: str) -> str:
+    return value if draw(st.integers(0, 29)) else draw(st.text(max_size=6))
+
+
+@st.composite
+def _stream_texts(draw):
+    """Mostly well-formed graphstream text with numbers now and then out of
+    range and a token or a line now and then replaced by any text."""
+    nv = _fuzz_int(draw, 1, 12)
+    last = max(min(nv, 12) - 1, 0)
+    rows = draw(st.integers(0, 6))
+    header = {
+        "nv": nv,
+        "ne": _fuzz_int(draw, rows, rows),
+        "src": _fuzz_int(draw, 0, last),
+        "dst": _fuzz_int(draw, 0, last),
+        "p": _fuzz_int(draw, 0, 3),
+    }
+    kind = draw(st.sampled_from(["directed", "undirected"]))
+    tokens = ["graphstream", "v1", kind] + [f"{key}={value}" for key, value in header.items()]
+    lines = [" ".join(_fuzz_text(draw, token) for token in tokens)]
+    for _ in range(rows):
+        lines.append(_fuzz_text(draw, f"{_fuzz_int(draw, 0, last)} {_fuzz_int(draw, 0, last)}"))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_stream_texts(), st.text(max_size=40)))
+def test_parse_stream_fuzz_round_trips_or_reports_a_line(text):
+    try:
+        stream = cb.parse_stream(text)
+    except StreamFormatError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
+    else:
+        assert cb.parse_stream(cb.serialize_stream(stream)) == stream
 
 
 def test_identity_gadget_distance_is_exactly_two_q():
