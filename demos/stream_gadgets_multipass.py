@@ -58,14 +58,10 @@ for label, s in (("gadget order", chain), ("reversed", gadgets.reverse_stream(ch
 
 # State snapshots at pass boundaries are first-class: serialize, drop
 # everything, restore into a fresh algorithm, and finish the run.
-edges = chain.edges.tolist()
 alg = streaming.alg_forward_bfs(2 * (chain.p + 1))
 alg.init(streaming.StreamMeta.of(chain))
 for _ in range(2):
-    alg.begin_pass()
-    for a, b in edges:
-        alg.observe_edge(a, b)
-    alg.end_pass()
+    alg.run_pass(chain.edges)
 blob = alg.serialize_state()
 print("snapshot after 2 passes:", len(blob), "bytes")
 
@@ -74,8 +70,5 @@ resumed.init(streaming.StreamMeta.of(chain))
 resumed.restore_state(blob)
 answer = None
 while answer is None:
-    resumed.begin_pass()
-    for a, b in edges:
-        resumed.observe_edge(a, b)
-    answer = resumed.end_pass()
+    answer = resumed.run_pass(chain.edges)
 print("resumed run answer:", answer)

@@ -57,7 +57,10 @@ class GraphStream:
         for endpoint in (self.src, self.dst):
             if not 0 <= endpoint < self.nv:
                 raise ValueError(f"query vertex {endpoint} outside [0, {self.nv})")
-        edges = np.array(self.edges, dtype=np.int64, order="C")
+        try:
+            edges = np.array(self.edges, dtype=np.int64, order="C")
+        except OverflowError:
+            raise ValueError(f"edge endpoint outside [0, {self.nv})") from None
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:

@@ -97,13 +97,16 @@ def _parse_header(line: str) -> dict:
     return fields
 
 
-def _parse_tables(lines, n: int, count: int, set_valued: bool):
-    """Parse `count` table blocks; returns a list of row-target lists."""
+def _parse_tables(lines, end: int, n: int, count: int, set_valued: bool):
+    """Parse `count` table blocks; returns a list of row-target lists.
+
+    end is the line number just past the input, where a missing table or
+    row is reported."""
     tables = []
     pos = 0
     for idx in range(count):
         if pos >= len(lines):
-            raise GameFormatError(f"expected {count} tables, found {idx}")
+            raise GameFormatError(f"line {end}: expected {count} tables, found {idx}")
         lineno, line = lines[pos]
         if line.strip() != f"table {idx}":
             raise GameFormatError(f"line {lineno}: expected 'table {idx}', got {line!r}")
@@ -111,7 +114,7 @@ def _parse_tables(lines, n: int, count: int, set_valued: bool):
         rows = []
         for x in range(n):
             if pos >= len(lines):
-                raise GameFormatError(f"table {idx}: missing row for element {x}")
+                raise GameFormatError(f"line {end}: table {idx}: missing row for element {x}")
             lineno, line = lines[pos]
             pos += 1
             head, sep, rest = line.partition(":")
@@ -158,17 +161,18 @@ def parse_game(text: str):
     fields = _parse_header(raw[0])
     kind, n, p = fields["kind"], fields["n"], fields["p"]
     body = [(i + 2, line) for i, line in enumerate(raw[1:]) if line.strip()]
+    end = len(raw) + 1
 
     if kind == "pc":
-        rows = _parse_tables(body, n, p, set_valued=False)
+        rows = _parse_tables(body, end, n, p, set_valued=False)
         return PcInstance(n, p, tuple(_function_table(n, r) for r in rows))
     if kind == "sc":
-        rows = _parse_tables(body, n, p, set_valued=True)
+        rows = _parse_tables(body, end, n, p, set_valued=True)
         return ScInstance(n, p, tuple(_set_table(n, r) for r in rows))
     if kind == "lpce":
         if "r" not in fields:
             raise GameFormatError("line 1: kind=lpce requires r")
-        rows = _parse_tables(body, n, 2 * p, set_valued=False)
+        rows = _parse_tables(body, end, n, 2 * p, set_valued=False)
         funcs = [_function_table(n, r) for r in rows]
         return LpceInstance(
             PcInstance(n, p, tuple(funcs[:p])), PcInstance(n, p, tuple(funcs[p:])), fields["r"]
@@ -177,7 +181,7 @@ def parse_game(text: str):
         if "r" not in fields or "t" not in fields:
             raise GameFormatError("line 1: kind=orlpce requires r and t")
         t = fields["t"]
-        rows = _parse_tables(body, n, 2 * p * t, set_valued=False)
+        rows = _parse_tables(body, end, n, 2 * p * t, set_valued=False)
         funcs = [_function_table(n, r) for r in rows]
         items = []
         for j in range(t):
@@ -191,7 +195,7 @@ def parse_game(text: str):
             )
         return OrLpceInstance(t, tuple(items))
     if kind == "intersectsc":
-        rows = _parse_tables(body, n, 2 * p, set_valued=True)
+        rows = _parse_tables(body, end, n, 2 * p, set_valued=True)
         funcs = [_set_table(n, r) for r in rows]
         return IntersectScInstance(
             ScInstance(n, p, tuple(funcs[:p])), ScInstance(n, p, tuple(funcs[p:]))

@@ -1,10 +1,11 @@
 """Multipass streaming harness with honest state accounting.
 
-An algorithm sees edges strictly in stream order, once per pass.  At every
-pass boundary the harness serializes the algorithm's state, records its
-size, and restores from the bytes, so nothing survives a pass except what
-the serializer carries.  In-pass working memory is deliberately not
-counted; reports say what was measured, not an estimate.
+An algorithm takes each pass whole, as the stream's read-only (ne, 2) edge
+array with row i the i-th edge to arrive.  At every pass boundary the
+harness serializes the algorithm's state, records its size, and restores
+from the bytes, so nothing survives a pass except what the serializer
+carries.  In-pass working memory is deliberately not counted; reports say
+what was measured, not an estimate.
 """
 from __future__ import annotations
 
@@ -50,10 +51,10 @@ class StreamingAlgorithm(ABC):
     """One-pass-at-a-time edge consumer.
 
     Lifecycle: init(meta) once, which may already return an answer (a
-    0-pass algorithm); then begin_pass / observe_edge* / end_pass per pass,
-    end_pass returning the answer bit or None to request another pass.
-    Cross-pass state must survive serialize_state / restore_state, which
-    the harness round-trips at every boundary.
+    0-pass algorithm); then run_pass(edges) once per pass, returning the
+    answer bit or None to request another pass.  Cross-pass state must
+    survive serialize_state / restore_state, which the harness round-trips
+    at every boundary.
     """
 
     name = "abstract"
@@ -62,13 +63,7 @@ class StreamingAlgorithm(ABC):
     def init(self, meta: StreamMeta) -> Optional[int]: ...
 
     @abstractmethod
-    def begin_pass(self) -> None: ...
-
-    @abstractmethod
-    def observe_edge(self, a: int, b: int) -> None: ...
-
-    @abstractmethod
-    def end_pass(self) -> Optional[int]: ...
+    def run_pass(self, edges: np.ndarray) -> Optional[int]: ...
 
     @abstractmethod
     def serialize_state(self) -> bytes: ...
@@ -104,13 +99,9 @@ def run_streaming(alg: StreamingAlgorithm, stream: GraphStream, pass_budget: int
     answer = alg.init(StreamMeta.of(stream))
     max_bits = _checkpoint(alg)
     passes = 0
-    edges = stream.edges.tolist()
     while answer is None and passes < pass_budget:
         passes += 1
-        alg.begin_pass()
-        for a, b in edges:
-            alg.observe_edge(a, b)
-        answer = alg.end_pass()
+        answer = alg.run_pass(stream.edges)
         max_bits = max(max_bits, _checkpoint(alg))
     return RunReport(answer if answer is None else int(answer), passes, max_bits)
 
@@ -128,6 +119,17 @@ def _unpack_masks(blob: bytes, n: int, count: int) -> tuple[int, list[np.ndarray
         chunk = np.frombuffer(blob, dtype=np.uint8, count=step, offset=4 + i * step)
         masks.append(np.unpackbits(chunk, count=n).astype(bool))
     return level, masks
+
+
+def _reached(frontier: np.ndarray, edges: np.ndarray, directed: bool) -> np.ndarray:
+    """Vertices one edge from a frontier frozen for the whole pass (along
+    the edge direction when directed), so arrival order cannot matter."""
+    a, b = edges[:, 0], edges[:, 1]
+    out = np.zeros(len(frontier), dtype=bool)
+    out[b[frontier[a]]] = True
+    if not directed:
+        out[a[frontier[b]]] = True
+    return out
 
 
 class _BidirectionalBfs(StreamingAlgorithm):
@@ -166,24 +168,10 @@ class _BidirectionalBfs(StreamingAlgorithm):
             return 0
         return None
 
-    def begin_pass(self) -> None:
-        self.new_s = np.zeros(self.n, dtype=bool)
-        self.new_t = np.zeros(self.n, dtype=bool)
-
-    def observe_edge(self, a: int, b: int) -> None:
-        if self.fr_s[a]:
-            self.new_s[b] = True
-        if self.fr_s[b]:
-            self.new_s[a] = True
-        if self.fr_t[a]:
-            self.new_t[b] = True
-        if self.fr_t[b]:
-            self.new_t[a] = True
-
-    def end_pass(self) -> Optional[int]:
+    def run_pass(self, edges: np.ndarray) -> Optional[int]:
         self.level += 1
-        self.fr_s = self.new_s & ~self.vis_s
-        self.fr_t = self.new_t & ~self.vis_t
+        self.fr_s = _reached(self.fr_s, edges, False) & ~self.vis_s
+        self.fr_t = _reached(self.fr_t, edges, False) & ~self.vis_t
         self.vis_s |= self.fr_s
         self.vis_t |= self.fr_t
         if (self.vis_s & self.vis_t).any():
@@ -232,18 +220,9 @@ class _ForwardBfs(StreamingAlgorithm):
             return 0
         return None
 
-    def begin_pass(self) -> None:
-        self.new = np.zeros(self.n, dtype=bool)
-
-    def observe_edge(self, a: int, b: int) -> None:
-        if self.fr[a]:
-            self.new[b] = True
-        if not self.directed and self.fr[b]:
-            self.new[a] = True
-
-    def end_pass(self) -> Optional[int]:
+    def run_pass(self, edges: np.ndarray) -> Optional[int]:
         self.level += 1
-        self.fr = self.new & ~self.vis
+        self.fr = _reached(self.fr, edges, self.directed) & ~self.vis
         self.vis |= self.fr
         if self.vis[self.dst]:
             return 1
@@ -288,20 +267,17 @@ class _UnionFind(StreamingAlgorithm):
             x = parent[x]
         return x
 
-    def begin_pass(self) -> None:
-        pass
-
-    def observe_edge(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            # smaller root wins, keeping the serialized form canonical
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-    def end_pass(self) -> Optional[int]:
-        return int(self._find(self.src) == self._find(self.dst))
+    def run_pass(self, edges: np.ndarray) -> Optional[int]:
+        find, parent = self._find, self.parent
+        for a, b in zip(*edges.T.tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                # smaller root wins, keeping the serialized form canonical
+                if ra < rb:
+                    parent[rb] = ra
+                else:
+                    parent[ra] = rb
+        return int(find(self.src) == find(self.dst))
 
     def serialize_state(self) -> bytes:
         roots = [self._find(x) for x in range(self.n)]
@@ -332,21 +308,19 @@ class _DirectedFrontier(StreamingAlgorithm):
             return 1
         return None
 
-    def begin_pass(self) -> None:
-        self.changed = False
-
-    def observe_edge(self, a: int, b: int) -> None:
-        if self.vis[a] and not self.vis[b]:
-            self.vis[b] = True
-            self.changed = True
-        if not self.directed and self.vis[b] and not self.vis[a]:
-            self.vis[a] = True
-            self.changed = True
-
-    def end_pass(self) -> Optional[int]:
-        if self.vis[self.dst]:
+    def run_pass(self, edges: np.ndarray) -> Optional[int]:
+        vis, undirected, changed = self.vis.tolist(), not self.directed, False
+        for a, b in zip(*edges.T.tolist()):
+            if vis[a] and not vis[b]:
+                vis[b] = True
+                changed = True
+            if undirected and vis[b] and not vis[a]:
+                vis[a] = True
+                changed = True
+        self.vis = np.array(vis)
+        if vis[self.dst]:
             return 1
-        if not self.changed:
+        if not changed:
             return 0
         return None
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 import chasebench as cb
 
@@ -15,6 +16,18 @@ def set_table(n: int, rows) -> cb.SetFunctionTable:
         offsets[x + 1] = offsets[x] + len(targets)
         flat.extend(targets)
     return cb.SetFunctionTable(n, offsets, np.array(flat, dtype=np.int64))
+
+
+def fuzz_int(draw, low: int, high: int) -> int:
+    """Mostly in [low, high]; now and then just past it, or past int64."""
+    if draw(st.integers(0, 14)):
+        return draw(st.integers(low, high))
+    return draw(st.sampled_from([low - 1, high + 1, 2**63 - 1, 2**63, -(2**63) - 1]))
+
+
+def fuzz_text(draw, value: str) -> str:
+    """Mostly value itself; now and then any short text instead."""
+    return value if draw(st.integers(0, 29)) else draw(st.text(max_size=6))
 
 
 def identity_set_table(n: int) -> cb.SetFunctionTable:

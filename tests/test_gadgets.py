@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import chasebench as cb
 from chasebench.errors import StreamFormatError
 from chasebench.verify import identity_instance
-from helpers import intersect_instance, set_table
+from helpers import fuzz_int, fuzz_text, intersect_instance, set_table
 
 # Tiny hand case, k=2 with one layer per side (q=1):
 #   left  f: 0 -> {1},  1 -> {}
@@ -138,6 +138,10 @@ def test_graph_stream_validation():
         cb.GraphStream(3, False, 0, 1, 0, ((0, 1, 2),))  # not (ne, 2)
     with pytest.raises(ValueError, match="shape"):
         cb.GraphStream(3, False, 0, 1, 0, (0, 1))
+    with pytest.raises(ValueError, match="outside"):
+        cb.GraphStream(3, False, 0, 1, 0, [[0, 1], [5, 2**64]])  # beyond int64
+    with pytest.raises(ValueError, match="outside"):
+        cb.GraphStream(3, False, 0, 1, 0, [[-(2**63) - 1, 1]])
 
 
 def test_graph_stream_copies_and_freezes_its_edges():
@@ -257,36 +261,25 @@ def test_parse_stream_reports_line_numbers():
         assert str(err.value).startswith(message)
 
 
-def _fuzz_int(draw, low: int, high: int) -> int:
-    """Mostly in [low, high]; now and then just past it, or past int64."""
-    if draw(st.integers(0, 14)):
-        return draw(st.integers(low, high))
-    return draw(st.sampled_from([low - 1, high + 1, 2**63 - 1, 2**63, -(2**63) - 1]))
-
-
-def _fuzz_text(draw, value: str) -> str:
-    return value if draw(st.integers(0, 29)) else draw(st.text(max_size=6))
-
-
 @st.composite
 def _stream_texts(draw):
     """Mostly well-formed graphstream text with numbers now and then out of
     range and a token or a line now and then replaced by any text."""
-    nv = _fuzz_int(draw, 1, 12)
+    nv = fuzz_int(draw, 1, 12)
     last = max(min(nv, 12) - 1, 0)
     rows = draw(st.integers(0, 6))
     header = {
         "nv": nv,
-        "ne": _fuzz_int(draw, rows, rows),
-        "src": _fuzz_int(draw, 0, last),
-        "dst": _fuzz_int(draw, 0, last),
-        "p": _fuzz_int(draw, 0, 3),
+        "ne": fuzz_int(draw, rows, rows),
+        "src": fuzz_int(draw, 0, last),
+        "dst": fuzz_int(draw, 0, last),
+        "p": fuzz_int(draw, 0, 3),
     }
     kind = draw(st.sampled_from(["directed", "undirected"]))
     tokens = ["graphstream", "v1", kind] + [f"{key}={value}" for key, value in header.items()]
-    lines = [" ".join(_fuzz_text(draw, token) for token in tokens)]
+    lines = [" ".join(fuzz_text(draw, token) for token in tokens)]
     for _ in range(rows):
-        lines.append(_fuzz_text(draw, f"{_fuzz_int(draw, 0, last)} {_fuzz_int(draw, 0, last)}"))
+        lines.append(fuzz_text(draw, f"{fuzz_int(draw, 0, last)} {fuzz_int(draw, 0, last)}"))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
 
 

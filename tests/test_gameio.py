@@ -1,9 +1,13 @@
 """Text round-trips and hand-frozen serializations for the game format."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chasebench as cb
-from helpers import intersect_instance, set_table
+from helpers import fuzz_int, fuzz_text, intersect_instance, set_table
 
 GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
 
@@ -134,11 +138,64 @@ def test_parse_rejects_malformed_text(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_parse_error_reports_line_numbers():
-    text = "scgame v1 kind=pc n=2 p=1\ntable 0\n0: 0\n1: 9\n"
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("scgame v1 kind=pc n=2 p=1\ntable 0\n0: 0\n1: 9\n", "line 4: target 9 outside [0, 2)"),
+        # a missing table or row is reported just past the last line
+        ("scgame v1 kind=pc n=2 p=1\ntable 0\n0: 0\n", "line 4: table 0: missing row for element 1"),
+        ("scgame v1 kind=lpce n=1 p=1 r=1\ntable 0\n0: 0\n\n", "line 5: expected 2 tables, found 1"),
+        ("scgame v1 kind=sc n=1 p=1", "line 2: expected 1 tables, found 0"),
+    ],
+)
+def test_parse_error_reports_line_numbers(text, message):
     with pytest.raises(cb.GameFormatError) as err:
         cb.parse_game(text)
-    assert "line 4" in str(err.value)
+    assert str(err.value) == message
+
+
+# tables per chase layer; orlpce has t times as many
+_TABLES_PER_LAYER = {"pc": 1, "sc": 1, "lpce": 2, "orlpce": 2, "intersectsc": 2}
+
+
+@st.composite
+def _game_texts(draw):
+    """Mostly well-formed scgame text with numbers now and then out of
+    range, a token or a line now and then replaced by any text, and now and
+    then the tail cut off."""
+    kind = draw(st.sampled_from(sorted(_TABLES_PER_LAYER)))
+    n, p, t = fuzz_int(draw, 1, 3), fuzz_int(draw, 1, 2), fuzz_int(draw, 1, 2)
+    header = {"kind": kind, "n": n, "p": p}
+    if kind in ("lpce", "orlpce"):
+        header["r"] = fuzz_int(draw, 1, 4)
+    if kind == "orlpce":
+        header["t"] = t
+    tokens = ["scgame", "v1"] + [f"{key}={value}" for key, value in header.items()]
+    lines = [" ".join(fuzz_text(draw, token) for token in tokens)]
+    rows = min(max(n, 1), 3)
+    tables = _TABLES_PER_LAYER[kind] * min(max(p, 1), 2) * (min(max(t, 1), 2) if kind == "orlpce" else 1)
+    for idx in range(tables):
+        lines.append(fuzz_text(draw, f"table {idx}"))
+        for x in range(rows):
+            if kind in ("sc", "intersectsc"):
+                targets = sorted({fuzz_int(draw, 0, rows - 1) for _ in range(draw(st.integers(0, 3)))})
+            else:
+                targets = [fuzz_int(draw, 0, rows - 1)]
+            lines.append(fuzz_text(draw, f"{x}:" + "".join(f" {y}" for y in targets)))
+    if not draw(st.integers(0, 7)):
+        lines = lines[: draw(st.integers(1, len(lines)))]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_game_texts(), st.text(max_size=40)))
+def test_parse_game_fuzz_round_trips_or_reports_a_line(text):
+    try:
+        inst = cb.parse_game(text)
+    except cb.GameFormatError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
+    else:
+        assert cb.parse_game(cb.serialize_game(inst)) == inst
 
 
 def test_serialize_rejects_unknown_objects():

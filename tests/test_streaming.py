@@ -137,10 +137,7 @@ def test_state_survives_serialize_restore_between_passes():
 
     first = cb.alg_forward_bfs(bound)
     assert first.init(meta) is None
-    first.begin_pass()
-    for a, b in d.edges:
-        first.observe_edge(a, b)
-    assert first.end_pass() is None
+    assert first.run_pass(d.edges) is None
     blob = first.serialize_state()
 
     second = cb.alg_forward_bfs(bound)
@@ -149,10 +146,7 @@ def test_state_survives_serialize_restore_between_passes():
     answer = None
     passes = 1
     while answer is None:
-        second.begin_pass()
-        for a, b in d.edges:
-            second.observe_edge(a, b)
-        answer = second.end_pass()
+        answer = second.run_pass(d.edges)
         passes += 1
     assert answer == 1
     assert passes == 4
