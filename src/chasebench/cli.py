@@ -10,11 +10,12 @@ error, 3 infeasible parameters.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
 
-from . import gadgets, gameio, games, info, oracles, protocols, reduction, streaming, verify
+from . import gadgets, gameio, games, info, protocols, reduction, streaming, verify
 from .errors import GameFormatError, InfeasibleParametersError, StreamFormatError
 from .util import derive_rng
 
@@ -37,16 +38,35 @@ class _UsageError(Exception):
     pass
 
 
+# Cap on the entries one command may draw or allocate: 2**27 int64 entries are
+# 1 GiB, which keeps one sampler table under 1 GiB on an 8 GB host.  Each table
+# also counts 64 entries for its Python object (260-450 bytes measured).
+_MAX_ENTRIES = 2**27
+
+
+def _check_size(what: str, tables: tuple[int, ...], dims: tuple[int, ...]) -> None:
+    """Refuse, before any draw, prod(tables) arrays of prod(dims) entries past
+    the cap; a non-positive factor is left for the library's usage errors."""
+    count, size = math.prod(tables), math.prod(dims)
+    if min(tables + dims) >= 1 and count * (size + 64) > _MAX_ENTRIES:
+        raise InfeasibleParametersError(
+            f"{what}: {count} array(s) of {size} entries, over the cap of {_MAX_ENTRIES} entries"
+        )
+
+
 def _cmd_gen_game(args) -> int:
     _require(args.seed is not None, "gen-game needs --seed")
     _require(args.n is not None and args.p is not None, "gen-game needs --n and --p")
     rng = derive_rng(args.seed)
     if args.t is not None:
+        _check_size("2*p*t*n", (2, args.p, args.t), (args.n,))
         r = args.r if args.r is not None else info.c_star_threshold(args.n)
         inst = games.sample_uniform_or_lpce(args.n, args.p, r, args.t, rng)
     elif args.r is not None:
+        _check_size("2*p*n", (2, args.p), (args.n,))
         inst = games.sample_uniform_lpce(args.n, args.p, args.r, rng)
     else:
+        _check_size("2*p*n^2", (2, args.p), (args.n, args.n))
         inst = games.sample_intersect_sc(args.n, args.p, rng)
     _emit(gameio.serialize_game(inst), args.output)
     return 0
@@ -73,6 +93,7 @@ def _cmd_gen_graph(args) -> int:
     else:
         _require(args.seed is not None, "gen-graph needs --seed when sampling")
         _require(args.k is not None and args.p is not None, "gen-graph needs --k and --p")
+        _check_size("2*(p+1)*k^2", (2, args.p + 1), (args.k, args.k))
         inst = games.sample_intersect_sc(args.k, args.p + 1, derive_rng(args.seed))
     stream = _GADGETS[args.gadget](inst)
     _emit(gadgets.serialize_stream(stream), args.output)
@@ -90,6 +111,7 @@ def _cmd_reduce(args) -> int:
         _require(args.n is not None and args.p is not None, "reduce needs --n and --p")
         r = args.r if args.r is not None else info.c_star_threshold(args.n)
         t = args.t if args.t is not None else reduction.choose_params(args.n, args.p, r).t
+        _check_size("2*p*t*n", (2, args.p, t), (args.n,))
         inst = games.sample_uniform_or_lpce(args.n, args.p, r, t, derive_rng(args.seed, 0))
     out = reduction.reduce_or_lpce(inst, derive_rng(args.seed, 1))
     if isinstance(out, reduction.ShortCircuit):
@@ -123,6 +145,7 @@ def _cmd_solve_protocol(args) -> int:
 def _cmd_stream_run(args) -> int:
     _require(args.input is not None, "stream-run needs --input")
     stream = gadgets.parse_stream(Path(args.input).read_text())
+    _check_size("nv", (1,), (stream.nv,))
     factory = streaming.ALGORITHMS[args.alg]
     if args.alg in ("bidir-bfs", "forward-bfs"):
         alg = factory(2 * (stream.p + 1))
@@ -189,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("verify", help="run a self-check suite and emit CSV")
     common(g, "seed", "trials", "report")
-    g.add_argument("--suite", choices=["info", "protocols", "reduction", "gadgets", "streaming", "all"], required=True)
+    g.add_argument("--suite", choices=[*verify.SUITES, "all"], required=True)
     g.set_defaults(func=_cmd_verify)
     return parser
 
@@ -199,20 +222,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (GameFormatError, StreamFormatError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except InfeasibleParametersError as exc:
-        sys.stderr.write(f"infeasible parameters: {exc}\n")
+    except (InfeasibleParametersError, MemoryError) as exc:
+        sys.stderr.write(f"infeasible parameters: {str(exc) or 'out of memory'}\n")
         return 3
-    except ValueError as exc:
-        # a parameter the library rejects (e.g. --n 0, --passes -1): usage error
+    except (_UsageError, FileNotFoundError, ValueError) as exc:
+        # ValueError: a parameter the library rejects (e.g. --n 0, --passes -1)
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

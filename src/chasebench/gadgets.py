@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import StreamFormatError
 from .games import IntersectScInstance
+from .util import FrozenRecord, frozen_copy
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -32,7 +33,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class GraphStream:
+class GraphStream(FrozenRecord):
     """An edge stream with a two-vertex query and a pass-budget tag.
 
     edges is a read-only, C-contiguous (ne, 2) int64 array; row i is the
@@ -58,7 +59,7 @@ class GraphStream:
             if not 0 <= endpoint < self.nv:
                 raise ValueError(f"query vertex {endpoint} outside [0, {self.nv})")
         try:
-            edges = np.array(self.edges, dtype=np.int64, order="C")
+            edges = frozen_copy(self.edges, np.int64)
         except OverflowError:
             raise ValueError(f"edge endpoint outside [0, {self.nv})") from None
         if edges.size == 0:
@@ -73,19 +74,11 @@ class GraphStream:
             if not (0 <= a < self.nv and 0 <= b < self.nv):
                 raise ValueError(f"edge ({a}, {b}) outside [0, {self.nv})")
             raise ValueError(f"self-loop at vertex {a}")
-        edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
     @property
     def ne(self) -> int:
         return len(self.edges)
-
-    def __eq__(self, other):
-        if not isinstance(other, GraphStream):
-            return NotImplemented
-        return (self.nv, self.directed, self.src, self.dst, self.p) == (
-            other.nv, other.directed, other.src, other.dst, other.p
-        ) and np.array_equal(self.edges, other.edges)
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,14 @@ _HEADER_PREFIX = "scgame v1"
 
 
 def _format_function_table(f: FunctionTable) -> list[str]:
-    return [f"{x}: {int(f.image[x])}" for x in range(f.n)]
+    return [f"{x}: {y}" for x, y in enumerate(f.image.tolist())]
 
 
 def _format_set_table(f: SetFunctionTable) -> list[str]:
+    values, offsets = f.values.tolist(), f.offsets.tolist()
     lines = []
     for x in range(f.n):
-        row = " ".join(str(int(y)) for y in f.image(x))
+        row = " ".join(map(str, values[offsets[x]:offsets[x + 1]]))
         lines.append(f"{x}: {row}" if row else f"{x}:")
     return lines
 
@@ -98,7 +99,8 @@ def _parse_header(line: str) -> dict:
 
 
 def _parse_tables(lines, end: int, n: int, count: int, set_valued: bool):
-    """Parse `count` table blocks; returns a list of row-target lists.
+    """Parse `count` table blocks into SetFunctionTables (set_valued) or
+    FunctionTables, built straight from the validated rows.
 
     end is the line number just past the input, where a missing table or
     row is reported."""
@@ -111,7 +113,7 @@ def _parse_tables(lines, end: int, n: int, count: int, set_valued: bool):
         if line.strip() != f"table {idx}":
             raise GameFormatError(f"line {lineno}: expected 'table {idx}', got {line!r}")
         pos += 1
-        rows = []
+        lengths, flat = [0], []
         for x in range(n):
             if pos >= len(lines):
                 raise GameFormatError(f"line {end}: table {idx}: missing row for element {x}")
@@ -137,20 +139,16 @@ def _parse_tables(lines, end: int, n: int, count: int, set_valued: bool):
                 raise GameFormatError(f"line {lineno}: targets must be strictly ascending")
             if not set_valued and len(targets) != 1:
                 raise GameFormatError(f"line {lineno}: function rows need exactly one target")
-            rows.append(targets)
-        tables.append(rows)
+            lengths.append(len(targets))
+            flat.extend(targets)
+        if set_valued:
+            tables.append(SetFunctionTable(n, np.cumsum(lengths), flat))
+        else:
+            tables.append(FunctionTable(n, flat))
     if pos != len(lines):
         lineno, line = lines[pos]
         raise GameFormatError(f"line {lineno}: trailing content {line!r}")
     return tables
-
-
-def _function_table(n: int, rows) -> FunctionTable:
-    return FunctionTable(n, np.array([row[0] for row in rows], dtype=np.int64))
-
-
-def _set_table(n: int, rows) -> SetFunctionTable:
-    return SetFunctionTable.from_sets(n, rows)
 
 
 def parse_game(text: str):
@@ -163,41 +161,24 @@ def parse_game(text: str):
     body = [(i + 2, line) for i, line in enumerate(raw[1:]) if line.strip()]
     end = len(raw) + 1
 
+    def lpce(funcs) -> LpceInstance:
+        return LpceInstance(PcInstance(n, p, funcs[:p]), PcInstance(n, p, funcs[p:]), fields["r"])
+
     if kind == "pc":
-        rows = _parse_tables(body, end, n, p, set_valued=False)
-        return PcInstance(n, p, tuple(_function_table(n, r) for r in rows))
+        return PcInstance(n, p, _parse_tables(body, end, n, p, set_valued=False))
     if kind == "sc":
-        rows = _parse_tables(body, end, n, p, set_valued=True)
-        return ScInstance(n, p, tuple(_set_table(n, r) for r in rows))
+        return ScInstance(n, p, _parse_tables(body, end, n, p, set_valued=True))
     if kind == "lpce":
         if "r" not in fields:
             raise GameFormatError("line 1: kind=lpce requires r")
-        rows = _parse_tables(body, end, n, 2 * p, set_valued=False)
-        funcs = [_function_table(n, r) for r in rows]
-        return LpceInstance(
-            PcInstance(n, p, tuple(funcs[:p])), PcInstance(n, p, tuple(funcs[p:])), fields["r"]
-        )
+        return lpce(_parse_tables(body, end, n, 2 * p, set_valued=False))
     if kind == "orlpce":
         if "r" not in fields or "t" not in fields:
             raise GameFormatError("line 1: kind=orlpce requires r and t")
         t = fields["t"]
-        rows = _parse_tables(body, end, n, 2 * p * t, set_valued=False)
-        funcs = [_function_table(n, r) for r in rows]
-        items = []
-        for j in range(t):
-            block = funcs[j * 2 * p:(j + 1) * 2 * p]
-            items.append(
-                LpceInstance(
-                    PcInstance(n, p, tuple(block[:p])),
-                    PcInstance(n, p, tuple(block[p:])),
-                    fields["r"],
-                )
-            )
-        return OrLpceInstance(t, tuple(items))
+        funcs = _parse_tables(body, end, n, 2 * p * t, set_valued=False)
+        return OrLpceInstance(t, tuple(lpce(funcs[j * 2 * p:(j + 1) * 2 * p]) for j in range(t)))
     if kind == "intersectsc":
-        rows = _parse_tables(body, end, n, 2 * p, set_valued=True)
-        funcs = [_set_table(n, r) for r in rows]
-        return IntersectScInstance(
-            ScInstance(n, p, tuple(funcs[:p])), ScInstance(n, p, tuple(funcs[p:]))
-        )
+        funcs = _parse_tables(body, end, n, 2 * p, set_valued=True)
+        return IntersectScInstance(ScInstance(n, p, funcs[:p]), ScInstance(n, p, funcs[p:]))
     raise GameFormatError(f"line 1: unknown kind {fields['kind']!r}")

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .util import FrozenRecord, frozen_copy
+
 __all__ = [
     "FunctionTable",
     "SetFunctionTable",
@@ -44,18 +46,12 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=np.int64) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(values, dtype=dtype))
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class FunctionTable:
+class FunctionTable(FrozenRecord):
     """A total mapping from [0, n) to [0, n), stored as an image array.
 
     image[x] is the value the table assigns to x.  Instances are immutable:
-    the array is made read-only at construction.
+    the table holds a read-only copy of the array it was given.
     """
 
     n: int
@@ -64,12 +60,12 @@ class FunctionTable:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ground set must be nonempty")
-        image = np.asarray(self.image, dtype=np.int64)
+        image = frozen_copy(self.image, np.int64)
         if image.shape != (self.n,):
             raise ValueError(f"image must have shape ({self.n},), got {image.shape}")
         if image.min() < 0 or image.max() >= self.n:
             raise ValueError("image values must lie in [0, n)")
-        object.__setattr__(self, "image", _frozen_array(image))
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def identity(cls, n: int) -> "FunctionTable":
@@ -82,14 +78,9 @@ class FunctionTable:
     def __call__(self, x: int) -> int:
         return int(self.image[x])
 
-    def __eq__(self, other):
-        if not isinstance(other, FunctionTable):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.image, other.image)
-
 
 @dataclass(frozen=True, eq=False)
-class SetFunctionTable:
+class SetFunctionTable(FrozenRecord):
     """A total mapping from [0, n) to subsets of [0, n).
 
     Rows are packed: the image of x is values[offsets[x]:offsets[x+1]],
@@ -103,8 +94,8 @@ class SetFunctionTable:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ground set must be nonempty")
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.int64)
+        offsets = frozen_copy(self.offsets, np.int64)
+        values = frozen_copy(self.values, np.int64)
         if offsets.shape != (self.n + 1,) or offsets[0] != 0:
             raise ValueError("offsets must have shape (n+1,) and start at 0")
         if np.any(np.diff(offsets) < 0) or offsets[-1] != values.size:
@@ -119,18 +110,15 @@ class SetFunctionTable:
             is_start[offsets[1:-1]] = True
             if ((values[1:] <= values[:-1]) & ~is_start[1:-1]).any():
                 raise ValueError("each image row must be strictly ascending")
-        object.__setattr__(self, "offsets", _frozen_array(offsets))
-        object.__setattr__(self, "values", _frozen_array(values))
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_sets(cls, n: int, sets: Sequence[Iterable[int]]) -> "SetFunctionTable":
         if len(sets) != n:
             raise ValueError("need exactly one image set per ground-set element")
-        rows = [np.array(sorted(set(int(y) for y in s)), dtype=np.int64) for s in sets]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([r.size for r in rows])
-        values = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        return cls(n, offsets, values)
+        rows = [sorted(set(int(y) for y in s)) for s in sets]
+        return cls(n, np.cumsum([0, *map(len, rows)]), [y for row in rows for y in row])
 
     @classmethod
     def identity(cls, n: int) -> "SetFunctionTable":
@@ -139,7 +127,7 @@ class SetFunctionTable:
     @classmethod
     def from_function(cls, table: FunctionTable) -> "SetFunctionTable":
         """Singleton-image table computing the same chase as `table`."""
-        return cls(table.n, np.arange(table.n + 1), table.image.copy())
+        return cls(table.n, np.arange(table.n + 1), table.image)
 
     def image(self, x: int) -> np.ndarray:
         if not 0 <= x < self.n:
@@ -148,15 +136,6 @@ class SetFunctionTable:
 
     def total_image_size(self) -> int:
         return int(self.values.size)
-
-    def __eq__(self, other):
-        if not isinstance(other, SetFunctionTable):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.values, other.values)
-        )
 
 
 def _check_layer_shapes(n: int, p: int, funcs, kind) -> None:

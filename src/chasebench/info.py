@@ -14,6 +14,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .util import FrozenRecord, frozen_copy
+
 __all__ = [
     "FiniteDistribution",
     "entropy",
@@ -35,21 +37,19 @@ _NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteDistribution:
+class FiniteDistribution(FrozenRecord):
     """Probabilities over the labels 0..n-1, normalized within 1e-9."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = frozen_copy(self.probs, np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty vector")
         if (probs < 0).any():
             raise ValueError("probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > _NORM_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-        probs = probs.copy()
-        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
     @property

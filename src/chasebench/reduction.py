@@ -25,6 +25,7 @@ from .games import (
     is_r_non_injective,
 )
 from .protocols import Transcript
+from .util import FrozenRecord, frozen_copy
 
 __all__ = [
     "ReductionParams",
@@ -77,7 +78,8 @@ def choose_params(n: int, p: int, r: int) -> ReductionParams:
         raise ValueError("parameters must be positive")
 
     def fits(width: int) -> bool:
-        return (10 * r * width * width) ** p <= n
+        # base >= 10 > 2, so base**p > n once p reaches n's bit length
+        return p < n.bit_length() and (10 * r * width * width) ** p <= n
 
     t, hi = 0, 1  # invariant: fits(t) and not fits(hi) once the doubling stops
     while fits(hi):
@@ -96,7 +98,7 @@ def choose_params(n: int, p: int, r: int) -> ReductionParams:
 
 
 @dataclass(frozen=True, eq=False)
-class PermutationFamily:
+class PermutationFamily(FrozenRecord):
     """Per-item, per-layer permutations for both chase sides.
 
     pi[j, i] scrambles layer i of item j's left chase; rho likewise on the
@@ -109,8 +111,8 @@ class PermutationFamily:
     rho: np.ndarray  # shape (t, p, n)
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=np.int64)
-        rho = np.asarray(self.rho, dtype=np.int64)
+        pi = frozen_copy(self.pi, np.int64)
+        rho = frozen_copy(self.rho, np.int64)
         if pi.ndim != 3 or pi.shape != rho.shape or pi.shape[2] != self.n:
             raise ValueError("pi and rho must both have shape (t, p, n)")
         for fam in (pi, rho):
@@ -124,10 +126,8 @@ class PermutationFamily:
                 raise ValueError("every row must be a permutation of [0, n)")
         if not np.array_equal(pi[:, 0, :], rho[:, 0, :]):
             raise ValueError("outermost layers must be shared between pi and rho")
-        for name, fam in (("pi", pi), ("rho", rho)):
-            fam = fam.copy()
-            fam.flags.writeable = False
-            object.__setattr__(self, name, fam)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "rho", rho)
 
     @property
     def t(self) -> int:
@@ -223,7 +223,7 @@ def overlay(
         tables = []
         for i in range(p):
             stacked = np.sort(
-                np.stack([np.asarray(pair[side][i].image) for pair in scrambled]), axis=0
+                np.stack([pair[side][i].image for pair in scrambled]), axis=0
             )
             keep = np.ones_like(stacked, dtype=bool)
             keep[1:] = stacked[1:] != stacked[:-1]

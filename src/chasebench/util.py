@@ -1,5 +1,7 @@
-"""Small shared helpers: deterministic RNG derivation and bit packing."""
+"""Small shared helpers: RNG derivation, bit packing, and frozen array records."""
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -52,3 +54,27 @@ def bitmap_to_str(mask: np.ndarray) -> str:
 
 def str_to_bitmap(bits: str) -> np.ndarray:
     return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
+
+
+def frozen_copy(values, dtype) -> np.ndarray:
+    """A read-only, C-contiguous copy of `values` as `dtype`; never a view."""
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
+class FrozenRecord:
+    """Base of the `@dataclass(frozen=True, eq=False)` records that store
+    arrays via `frozen_copy`: equal when of the same class with every field
+    equal (arrays by `np.array_equal`), and unhashable like their arrays."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True

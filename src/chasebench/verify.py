@@ -514,14 +514,14 @@ SUITES: dict[str, Callable[[int, Optional[int]], list[CheckResult]]] = {
 
 
 def run_suite(name: str, seed: int, trials: Optional[int] = None) -> list[CheckResult]:
-    """Run one named suite, or all of them in a fixed order; `trials` >= 1
+    """Run one named suite, or all of them in SUITES order; `trials` >= 1
     replaces the suites' default trial counts."""
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if name == "all":
         out: list[CheckResult] = []
-        for key in ("info", "protocols", "reduction", "gadgets", "streaming"):
-            out.extend(SUITES[key](seed, trials))
+        for suite in SUITES.values():
+            out.extend(suite(seed, trials))
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")

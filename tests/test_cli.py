@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import chasebench as cb
-from chasebench import cli, gadgets, gameio, games, info, verify
+from chasebench import cli, gadgets, gameio, games, info, streaming, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -293,6 +293,63 @@ def test_stream_run_missing_file(capsys):
         capsys, "stream-run", "--input", "/nonexistent/x.gs", "--alg", "union-find"
     )
     assert code == 2 and "error" in err
+
+
+# ----------------------------------------------------------- size guard
+
+OVER_THE_CAP = {
+    "gen-graph-k": ("gen-graph", "--seed", "1", "--k", "1000000000", "--p", "1", "--gadget", "distance"),
+    "gen-game-t": ("gen-game", "--seed", "1", "--n", "4", "--p", "1", "--t", str(2**70)),
+    "gen-game-n": ("gen-game", "--seed", "1", "--n", str(2**40), "--p", "1"),
+    # 2**26 tables of two entries each: small arrays, but one Python object per table
+    "gen-game-tiny-tables": ("gen-game", "--seed", "1", "--n", "2", "--p", str(2**25), "--r", "3"),
+    "reduce-t": ("reduce", "--seed", "1", "--n", "4096", "--p", "1", "--t", str(2**40)),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("drew or allocated past the size guard")
+
+
+@pytest.mark.parametrize("name", sorted(OVER_THE_CAP))
+def test_commands_over_the_size_cap_exit_3_before_drawing(capsys, monkeypatch, name):
+    for sampler in ("sample_intersect_sc", "sample_uniform_lpce", "sample_uniform_or_lpce"):
+        monkeypatch.setattr(games, sampler, _refuse)
+    code, stdout, err = run_cli(capsys, *OVER_THE_CAP[name])
+    assert code == 3 and stdout == ""
+    assert err.startswith("infeasible parameters: ") and "over the cap" in err
+
+
+def test_stream_run_over_the_size_cap_exits_3_before_running(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "huge.gs"
+    path.write_text(f"graphstream v1 undirected nv={10**18} ne=1 src=0 dst=1 p=0\n0 1\n")
+    monkeypatch.setattr(streaming, "run_streaming", _refuse)
+    code, stdout, err = run_cli(capsys, "stream-run", "--input", str(path), "--alg", "union-find")
+    assert code == 3 and stdout == ""
+    assert err.startswith("infeasible parameters: nv") and "over the cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-game", "--seed", "1", "--n", str(-(2**40)), "--p", "1"),
+        ("gen-game", "--seed", "1", "--n", "4", "--p", "-1", "--t", str(-(2**70))),
+        ("gen-graph", "--seed", "1", "--k", str(2**40), "--p", "-1", "--gadget", "reach"),
+    ],
+)
+def test_nonpositive_sizes_stay_usage_errors(capsys, argv):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == "" and err.startswith("error: ")
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(games, "sample_intersect_sc", exhausted)
+    code, stdout, err = run_cli(capsys, "gen-game", "--seed", "1", "--n", "4", "--p", "1")
+    assert code == 3 and stdout == ""
+    assert err == "infeasible parameters: out of memory\n"
 
 
 # --------------------------------------------------------------- verify

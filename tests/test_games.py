@@ -157,6 +157,21 @@ def test_function_table_is_immutable():
     f = cb.FunctionTable.identity(4)
     with pytest.raises(ValueError):
         f.image[0] = 2
+    # tables copy what they are given: later edits to a writable base do
+    # not reach them, and the caller's own arrays stay writable
+    base = np.array([[0, 1, 1, 2], [2, 0, 1, 0]])
+    image = np.array([2, 0, 1])
+    f = cb.FunctionTable(3, base[1, :3])
+    g = cb.SetFunctionTable(3, base[0], base[1, :2])
+    own = cb.FunctionTable(3, image)
+    base[:] = 0
+    assert f(0) == 2 and f.image.tolist() == [2, 0, 1]
+    assert [g.image(x).tolist() for x in range(3)] == [[2], [], [0]]
+    assert base.flags.writeable and image.flags.writeable
+    image[0] = 1
+    assert own(0) == 2
+    for arr in (f.image, g.offsets, g.values, own.image):
+        assert not arr.flags.writeable and arr.flags.c_contiguous
 
 
 def test_set_function_table_validation():

@@ -66,6 +66,8 @@ def test_distribution_validation():
     u = cb.FiniteDistribution.uniform(4)
     assert u.n == 4
     assert np.allclose(u.probs, 0.25)
+    assert u == cb.FiniteDistribution.uniform(4)
+    assert u != cb.FiniteDistribution(np.array([0.25, 0.25, 0.5, 0.0]))
 
 
 def test_entropy_hand_values():

@@ -1,8 +1,15 @@
 """The package namespace: every name exported before `__all__` was built
-from the submodules' lists is still exported and importable."""
+from the submodules' lists is still exported and importable, and every
+exported record that holds arrays follows the one frozen-record rule."""
+import dataclasses
 import importlib
+import typing
+
+import numpy as np
+import pytest
 
 import chasebench as cb
+from chasebench.util import FrozenRecord
 
 EARLIER_EXPORTS = """
 ALGORITHMS EndToEndReport FiniteDistribution FunctionTable GadgetLayout
@@ -41,3 +48,38 @@ def test_all_holds_each_submodule_list_once():
     for module in ("gadgets", "gameio", "games", "info", "oracles", "protocols", "reduction", "streaming"):
         sub = importlib.import_module(f"chasebench.{module}")
         assert set(sub.__all__) <= set(cb.__all__), module
+
+
+def test_every_exported_array_record_uses_the_frozen_base():
+    records = [
+        obj for name in cb.__all__
+        if dataclasses.is_dataclass(obj := getattr(cb, name)) and isinstance(obj, type)
+    ]
+    with_arrays = {
+        cls.__name__ for cls in records
+        if np.ndarray in typing.get_type_hints(cls).values()
+    }
+    # the walk must see at least the five records known to hold arrays
+    assert with_arrays >= {
+        "FiniteDistribution", "FunctionTable", "GraphStream", "PermutationFamily", "SetFunctionTable"
+    }
+    for name in with_arrays:
+        assert issubclass(getattr(cb, name), FrozenRecord), name
+
+
+ARRAY_RECORDS = {
+    "FunctionTable": lambda: cb.FunctionTable(3, [2, 0, 1]),
+    "SetFunctionTable": lambda: cb.SetFunctionTable(3, [0, 1, 1, 2], [2, 0]),
+    "GraphStream": lambda: cb.GraphStream(3, False, 0, 2, 0, [[0, 1], [1, 2]]),
+    "PermutationFamily": lambda: cb.sample_permutation_family(4, 2, 2, cb.derive_rng(3)),
+    "FiniteDistribution": lambda: cb.FiniteDistribution.uniform(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_array_records_compare_by_value_and_are_unhashable(name):
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert a == b and not a != b and a == dataclasses.replace(a)
+    assert a != object()
+    with pytest.raises(TypeError):
+        hash(a)

@@ -53,6 +53,8 @@ def test_choose_params_large_n():
 def test_choose_params_infeasible_raises():
     with pytest.raises(InfeasibleParametersError):
         cb.choose_params(5, 1, 1)  # even t=1 needs n >= 10
+    with pytest.raises(InfeasibleParametersError):
+        cb.choose_params(4096, 2**22, 15)  # refused without building 150**(2**22)
 
 
 def test_choose_params_avoids_float_rounding():
@@ -96,6 +98,11 @@ def test_inverse_family_composes_to_identity():
         for i in range(2):
             assert np.array_equal(fam.pi[j, i][inv.pi[j, i]], np.arange(12))
             assert np.array_equal(inv.rho[j, i][fam.rho[j, i]], np.arange(12))
+    assert inv.inverse() == fam and inv != fam
+    # a family differing from fam in one transposition of one layer
+    rho = fam.rho.copy()
+    rho[2, 1, [0, 1]] = rho[2, 1, [1, 0]]
+    assert cb.PermutationFamily(12, fam.pi, rho) != fam
 
 
 def _as_item(n, p, r, pair):
