@@ -306,7 +306,38 @@ def _header_int(token: str, key: str, lineno: int) -> int:
 
 
 def parse_stream(text: str) -> GraphStream:
-    """Inverse of serialize_stream, with line-numbered diagnostics."""
+    """Inverse of serialize_stream, with line-numbered diagnostics.
+
+    Canonical text, exactly what serialize_stream writes, takes a fast path:
+    the body is tokenized by one np.fromstring call, and the stream is
+    accepted only if it serializes back to the input.  Any other text, valid
+    or not, falls through to the line parser, so that parser alone writes
+    diagnostics and non-canonical spellings (extra blanks, leading zeros,
+    '+1', tabs, CRLF line ends, no final newline) parse as before.
+    """
+    try:
+        header, _, body = text.partition("\n")
+        _, _, kind, *fields = header.split(" ")
+        nv, ne, src, dst, p = (int(field.partition("=")[2]) for field in fields)
+        # A read sized from the header allocates once; an unsized one regrows
+        # its buffer and fragments the heap.  A canonical edge line has at
+        # least 4 characters, which bounds a huge ne (a negative count reads
+        # all).  A bad token raises ValueError; a short or out-of-int64 read
+        # pads or saturates, which the round-trip check below rejects.
+        count = 2 * min(ne, len(body) // 4)
+        flat = np.fromstring(body, dtype=np.int64, count=count, sep=" ")
+        stream = GraphStream(nv, kind == "directed", src, dst, p, flat.reshape(-1, 2))
+    except (ValueError, OverflowError):
+        pass
+    else:
+        if serialize_stream(stream) == text:
+            return stream
+    return _parse_stream_lines(text)
+
+
+def _parse_stream_lines(text: str) -> GraphStream:
+    """The line-by-line parser: accepts any whitespace layout and reports the
+    first fault with its line number."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

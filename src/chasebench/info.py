@@ -46,6 +46,9 @@ class FiniteDistribution(FrozenRecord):
         probs = frozen_copy(self.probs, np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty vector")
+        # NaN passes both checks below: it is neither < 0 nor off the sum test
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if (probs < 0).any():
             raise ValueError("probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > _NORM_TOL:

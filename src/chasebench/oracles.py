@@ -70,7 +70,8 @@ def oracle_reachable(stream: GraphStream) -> int:
 def two_color(stream: GraphStream) -> np.ndarray:
     """A 0/1 coloring with no monochromatic edge; raises if none exists."""
     adj = _adjacency(stream)
-    color = np.full(stream.nv, -1, dtype=np.int8)
+    # a Python list: indexing an int8 array per edge costs more than the BFS
+    color = [-1] * stream.nv
     for start in range(stream.nv):
         if color[start] >= 0:
             continue
@@ -78,13 +79,15 @@ def two_color(stream: GraphStream) -> np.ndarray:
         queue = deque([start])
         while queue:
             x = queue.popleft()
+            cx = color[x]
             for y in adj[x]:
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
+                cy = color[y]
+                if cy < 0:
+                    color[y] = 1 - cx
                     queue.append(y)
-                elif color[y] == color[x]:
+                elif cy == cx:
                     raise ValueError("graph is not bipartite")
-    return color
+    return np.array(color, dtype=np.int8)
 
 
 def oracle_perfect_matching(stream: GraphStream) -> int:

@@ -45,6 +45,10 @@ __all__ = [
 
 def feasible(n: int, p: int, r: int, t: int) -> bool:
     """Exact check of the soundness budget: 10 * t^(2p) * r^(p-1) <= n."""
+    # unless t = r = 1, t^(2p) * r^(p-1) >= 2^(p-1) > n once p exceeds n's bit
+    # length, so a huge p is refused before its power is built
+    if p > n.bit_length() and max(t, r) >= 2 and min(t, r) >= 1:
+        return False
     return 10 * t ** (2 * p) * r ** (p - 1) <= n
 
 

@@ -400,6 +400,38 @@ def test_verify_rejects_trials_below_one(capsys, suite, trials):
     assert err == f"error: trials must be at least 1, got {trials}\n"
 
 
+@pytest.mark.parametrize(
+    "suite,trials",
+    [
+        ("protocols", 2**70),
+        ("reduction", 2**70),
+        ("gadgets", 2**70),
+        ("streaming", 2**70),
+        ("all", 2**70),
+        ("info", 10**6 + 1),
+    ],
+)
+def test_verify_over_the_trial_cap_exits_3_before_any_suite(capsys, monkeypatch, suite, trials):
+    monkeypatch.setattr(cli.verify, "run_suite", _refuse)
+    code, stdout, err = run_cli(
+        capsys, "verify", "--suite", suite, "--seed", "1", "--trials", str(trials)
+    )
+    assert code == 3 and stdout == ""
+    assert err == f"infeasible parameters: trials={trials} is over the cap of {10**6} trials\n"
+
+
+def test_verify_at_the_trial_cap_runs(capsys, monkeypatch):
+    seen = []
+
+    def record(name, seed, trials=None):
+        seen.append(trials)
+        return [verify.CheckResult(name, "recorded", trials, "any", True)]
+
+    monkeypatch.setattr(cli.verify, "run_suite", record)
+    code, _, err = run_cli(capsys, "verify", "--suite", "gadgets", "--seed", "1", "--trials", "1000000")
+    assert code == 0 and err == "" and seen == [10**6]
+
+
 # ----------------------------------------------------- parser plumbing
 
 

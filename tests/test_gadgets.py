@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chasebench as cb
+from chasebench import gadgets
 from chasebench.errors import StreamFormatError
 from chasebench.verify import identity_instance
 from helpers import fuzz_int, fuzz_text, intersect_instance, set_table
@@ -229,6 +230,9 @@ def test_matching_gadget_is_bipartite():
         ("graphstream v1 directed nv=x ne=0 src=0 dst=1 p=0\n", "integer"),
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n", "header says ne=1"),
         ("graphstream v1 directed nv=2 ne=0 src=0 dst=1 p=0\n0 1\n", "header says ne=0"),
+        ("graphstream v1 directed nv=3 ne=2 src=0 dst=1 p=0\n0 1\n", "header says ne=2"),
+        ("graphstream v1 directed nv=2 ne=1000000000000 src=0 dst=1 p=0\n0 1\n", "header says ne="),
+        ("graphstream v1 directed nv=2 ne=-1 src=0 dst=1 p=0\n0 1\n", "header says ne=-1"),
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n0\n", "expected 'a b'"),
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n0 5\n", "outside"),
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n0 a\n", "integer"),
@@ -259,6 +263,87 @@ def test_parse_stream_reports_line_numbers():
         with pytest.raises(StreamFormatError) as err:
             cb.parse_stream(text)
         assert str(err.value).startswith(message)
+
+
+def _sampled_streams():
+    """Gadgets of all three kinds: an edgeless one, k=1, sampled small
+    shapes and one k=400 depth-3 instance."""
+    rng = cb.derive_rng(64)
+    empty = intersect_instance(1, [set_table(1, [[]])], [set_table(1, [[]])])
+    instances = [empty, cb.sample_intersect_sc(1, 2, rng)]
+    instances += [
+        cb.sample_intersect_sc(int(rng.integers(2, 9)), int(rng.integers(1, 4)), rng)
+        for _ in range(20)
+    ]
+    instances.append(cb.sample_intersect_sc(400, 3, rng, include_prob=0.01))
+    builds = (cb.build_distance_gadget, cb.build_reachability_gadget, cb.build_matching_gadget)
+    return [build(inst) for inst in instances for build in builds]
+
+
+def _count_line_parses(monkeypatch):
+    calls = []
+    line_parser = gadgets._parse_stream_lines
+
+    def counted(text):
+        calls.append(text)
+        return line_parser(text)
+
+    monkeypatch.setattr(gadgets, "_parse_stream_lines", counted)
+    return calls
+
+
+def test_parse_stream_fast_path_equals_the_line_parser(monkeypatch):
+    streams = _sampled_streams()
+    assert min(s.ne for s in streams) == 0 and max(s.ne for s in streams) > 5000
+    texts = [cb.serialize_stream(s) for s in streams]
+    want = [gadgets._parse_stream_lines(text) for text in texts]
+    calls = _count_line_parses(monkeypatch)
+    for stream, text, expected in zip(streams, texts, want):
+        got = cb.parse_stream(text)
+        assert got == expected == stream
+        assert got.edges.flags.c_contiguous and not got.edges.flags.writeable
+    assert calls == []  # canonical text never reaches the line parser
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace(" ", "  "),
+        lambda t: re.sub(r"\n(\d+) (\d+)", r"\n00\1 0\2", t),
+        lambda t: t.replace("\n1 ", "\n+1 "),
+        lambda t: t.replace(" ", "\t"),
+        lambda t: t[:-1],
+        lambda t: t.replace("\n", "\r\n"),
+    ],
+    ids=["double-spaces", "leading-zeros", "plus-sign", "tabs", "no-final-newline", "crlf"],
+)
+def test_non_canonical_text_parses_equal_through_the_line_parser(monkeypatch, edit):
+    stream = cb.build_matching_gadget(cb.sample_intersect_sc(3, 2, cb.derive_rng(65)))
+    canonical = cb.serialize_stream(stream)
+    text = edit(canonical)
+    assert text != canonical
+    calls = _count_line_parses(monkeypatch)
+    assert cb.parse_stream(text) == stream
+    assert calls == [text]
+
+
+def test_numpy_tokenizer_faults_end_in_the_line_parser_message():
+    # pinned numpy behaviour the fast path relies on: a bad token raises,
+    # an out-of-int64 token saturates (and the round trip then rejects it)
+    with pytest.raises(ValueError):
+        np.fromstring("3 x", dtype=np.int64, sep=" ")
+    saturated = np.fromstring("99999999999999999999", dtype=np.int64, sep=" ")
+    assert saturated.tolist() == [2**63 - 1]
+    header = "graphstream v1 undirected nv=4 ne=1 src=0 dst=3 p=0\n"
+    for body, message in (
+        ("3 x\n", "line 2: bad integer in '3 x'"),
+        ("99999999999999999999 1\n", "line 2: endpoint outside [0, 4)"),
+    ):
+        with pytest.raises(StreamFormatError) as direct:
+            gadgets._parse_stream_lines(header + body)
+        with pytest.raises(StreamFormatError) as err:
+            cb.parse_stream(header + body)
+        assert str(err.value) == str(direct.value) == message
 
 
 @st.composite

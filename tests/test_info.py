@@ -63,6 +63,9 @@ def test_distribution_validation():
         cb.FiniteDistribution(np.array([1.2, -0.2]))
     with pytest.raises(ValueError):
         cb.FiniteDistribution(np.array([]))
+    for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1.0, 0.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            cb.FiniteDistribution(np.array(bad))
     u = cb.FiniteDistribution.uniform(4)
     assert u.n == 4
     assert np.allclose(u.probs, 0.25)

@@ -132,6 +132,43 @@ def _nx_graph(s):
     return g
 
 
+def _nx_two_color(s):
+    """Parity of the BFS distance from each component's lowest vertex."""
+    g = _nx_graph(s)
+    color = np.zeros(s.nv, dtype=np.int8)
+    for component in nx.connected_components(g):
+        for x, d in nx.single_source_shortest_path_length(g, min(component)).items():
+            color[x] = d % 2
+    return color
+
+
+def test_two_color_matches_bfs_parity_from_each_component_minimum():
+    rng = cb.derive_rng(73)
+    streams = []
+    for _ in range(60):
+        inst = cb.sample_intersect_sc(
+            int(rng.integers(1, 9)), int(rng.integers(1, 4)), rng,
+            include_prob=float(rng.uniform(0.05, 0.6)),
+        )
+        streams += [cb.build_distance_gadget(inst), cb.build_matching_gadget(inst)]
+    for _ in range(60):
+        # random bipartite graphs on shuffled labels, isolated vertices included
+        nv = int(rng.integers(2, 15))
+        side = rng.integers(0, 2, size=nv)
+        pairs = [(a, b) for a, b in combinations(range(nv), 2) if side[a] != side[b]]
+        edges = [pair for pair in pairs if rng.random() < 0.3]
+        streams.append(_stream(nv, False, edges))
+    streams.append(cb.build_matching_gadget(cb.sample_intersect_sc(400, 3, rng, include_prob=0.01)))
+    for s in streams:
+        colors = cb.two_color(s)
+        assert colors.dtype == np.int8
+        assert colors.tolist() == _nx_two_color(s).tolist()
+    for cycle in (3, 5, 9):
+        odd = [(x, (x + 1) % cycle) for x in range(cycle)]
+        with pytest.raises(ValueError, match="not bipartite"):
+            cb.two_color(_stream(cycle + 2, False, [(cycle, cycle + 1), *odd]))
+
+
 def test_oracles_agree_with_networkx_on_sampled_gadgets():
     # the criterion-03 sampled family: k in [2, 16], depth in [2, 4]
     rng = cb.derive_rng(72)

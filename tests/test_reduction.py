@@ -1,4 +1,6 @@
 """Scramble-and-overlay reduction: parameter budget, algebra, completeness."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,23 @@ def test_feasible_hand_values():
     assert cb.feasible(40, 1, 99, 2)  # r is free when p=1
     assert not cb.feasible(39, 1, 99, 2)
     assert not cb.feasible(64, 2, 9, 2)  # 10*16*9 = 1440
+
+
+def test_feasible_equals_the_exact_formula_on_a_small_grid():
+    for n in [*range(1, 70), 2**10 - 1, 2**10, 4096, 10**6]:
+        for p in range(1, n.bit_length() + 4):
+            for r in range(1, 5):
+                for t in range(1, 5):
+                    want = 10 * t ** (2 * p) * r ** (p - 1) <= n
+                    assert cb.feasible(n, p, r, t) == want, (n, p, r, t)
+
+
+def test_feasible_refuses_a_huge_pass_count_without_the_power():
+    start = time.perf_counter()
+    assert not cb.feasible(4096, 2**22, 15, 1)  # 15**(2**22 - 1) has 4.9M digits
+    assert not cb.feasible(4096, 2**70, 1, 2)
+    assert time.perf_counter() - start < 0.5
+    assert cb.feasible(10, 2**70, 1, 1)  # t = r = 1: the budget is 10 at any p
 
 
 def test_reduction_params_guard():
