@@ -55,6 +55,8 @@ class GraphStream(FrozenRecord):
             raise ValueError("nv must fit int64")
         if self.p < 0:
             raise ValueError("pass tag must be non-negative")
+        if self.p > _INT64_MAX:
+            raise ValueError("pass tag must fit int64")
         for endpoint in (self.src, self.dst):
             if not 0 <= endpoint < self.nv:
                 raise ValueError(f"query vertex {endpoint} outside [0, {self.nv})")
@@ -311,14 +313,22 @@ def parse_stream(text: str) -> GraphStream:
     Canonical text, exactly what serialize_stream writes, takes a fast path:
     the body is tokenized by one np.fromstring call, and the stream is
     accepted only if it serializes back to the input.  Any other text, valid
-    or not, falls through to the line parser, so that parser alone writes
-    diagnostics and non-canonical spellings (extra blanks, leading zeros,
-    '+1', tabs, CRLF line ends, no final newline) parse as before.
+    or not, goes to the line parser, so that parser alone writes diagnostics
+    and non-canonical spellings (extra blanks, leading zeros, '+1', tabs,
+    CRLF line ends, no final newline) parse as before.  A header that is not
+    in canonical form, a tab or CR anywhere, or no final newline sends the
+    text there before any bulk work.
     """
+    header, _, body = text.partition("\n")
     try:
-        header, _, body = text.partition("\n")
         _, _, kind, *fields = header.split(" ")
         nv, ne, src, dst, p = (int(field.partition("=")[2]) for field in fields)
+    except ValueError:
+        return _parse_stream_lines(text)
+    canonical_header = f"graphstream v1 {kind} nv={nv} ne={ne} src={src} dst={dst} p={p}"
+    if header != canonical_header or "\r" in body or "\t" in body or not text.endswith("\n"):
+        return _parse_stream_lines(text)
+    try:
         # A read sized from the header allocates once; an unsized one regrows
         # its buffer and fragments the heap.  A canonical edge line has at
         # least 4 characters, which bounds a huge ne (a negative count reads

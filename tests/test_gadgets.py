@@ -135,6 +135,8 @@ def test_graph_stream_validation():
         cb.GraphStream(2, False, 0, 2, 0, ())  # dst out of range
     with pytest.raises(ValueError):
         cb.GraphStream(2, False, 0, 1, -1, ())
+    with pytest.raises(ValueError, match="pass tag must fit int64"):
+        cb.GraphStream(2, False, 0, 1, 2**63, ())
     with pytest.raises(ValueError, match="shape"):
         cb.GraphStream(3, False, 0, 1, 0, ((0, 1, 2),))  # not (ne, 2)
     with pytest.raises(ValueError, match="shape"):
@@ -239,6 +241,8 @@ def test_matching_gadget_is_bipartite():
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n1 1\n", "self-loop"),
         ("graphstream v1 directed nv=100000000000000000000 ne=0 src=0 dst=1 p=0\n", "fit int64"),
         ("graphstream v1 directed nv=2 ne=0 src=0 dst=1 p=-9223372036854775809\n", "fit int64"),
+        ("graphstream v1 directed nv=2 ne=0 src=0 dst=1 p=9223372036854775808\n", "fit int64"),
+        ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=9223372036854775808\n0 1\n", "fit int64"),
         ("graphstream v1 directed nv=2 ne=1 src=0 dst=1 p=0\n0 100000000000000000000\n", "outside"),
     ],
 )
@@ -327,6 +331,34 @@ def test_non_canonical_text_parses_equal_through_the_line_parser(monkeypatch, ed
     assert calls == [text]
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace("nv=", "nv=0", 1),
+        lambda t: t.replace(" ", "  ", 1),
+        lambda t: t.replace(" ", "\t"),
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r\n", 1),
+        lambda t: t.replace("\n", "\r\n")[:-2],
+        lambda t: t[:-1],
+        lambda t: t[:-1] + "\t\n",
+    ],
+    ids=[
+        "header-leading-zero", "header-double-space", "tabs", "crlf", "header-crlf",
+        "crlf-no-final-newline", "no-final-newline", "trailing-tab",
+    ],
+)
+def test_non_canonical_layout_skips_the_bulk_tokenizer(monkeypatch, edit):
+    stream = cb.build_distance_gadget(cb.sample_intersect_sc(3, 2, cb.derive_rng(66)))
+    text = edit(cb.serialize_stream(stream))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("bulk tokenizer ran on non-canonical text")
+
+    monkeypatch.setattr(np, "fromstring", refused)
+    assert cb.parse_stream(text) == stream
+
+
 def test_numpy_tokenizer_faults_end_in_the_line_parser_message():
     # pinned numpy behaviour the fast path relies on: a bad token raises,
     # an out-of-int64 token saturates (and the round trip then rejects it)
@@ -377,6 +409,21 @@ def test_parse_stream_fuzz_round_trips_or_reports_a_line(text):
         assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
     else:
         assert cb.parse_stream(cb.serialize_stream(stream)) == stream
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_stream_texts(), st.text(max_size=40)))
+def test_parse_stream_fuzz_agrees_with_the_line_parser(text):
+    # whatever the fast path accepts, the line parser accepts as the same
+    # stream; whatever either refuses, both refuse with the same message
+    try:
+        want = gadgets._parse_stream_lines(text)
+    except StreamFormatError as exc:
+        with pytest.raises(StreamFormatError) as err:
+            cb.parse_stream(text)
+        assert str(err.value) == str(exc)
+    else:
+        assert cb.parse_stream(text) == want
 
 
 def test_identity_gadget_distance_is_exactly_two_q():
