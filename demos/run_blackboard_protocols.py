@@ -2,10 +2,12 @@
 Blackboard protocols for set-chase intersection
 ===============================================
 
-2p players share a blackboard.  The forward protocol walks both chases
-inward over p rounds; the reverse-order protocol compresses everything
-into a single round by having players speak against the chase direction.
-Both are exact, and their transcripts expose the bit accounting that
+2p players share a blackboard and run one exact protocol: each player
+extends a chase by its own layer once it has read the next player's set.
+Only the speaking order differs.  In the standard order (players 0 to
+2p-1, every round) a set moves one layer per round, so the protocol takes
+p rounds; in the reverse order each player speaks after the one it reads,
+so it takes one round.  The transcripts expose the bit accounting that
 makes pass/round trade-offs visible.
 """
 
@@ -19,15 +21,13 @@ print("truth:", games.eval_intersect_sc(inst))
 
 # Forward: p rounds, each layer broadcast as an n-bit set indicator.
 answer, tr = protocols.forward_sc_protocol(inst)
-rounds = max(r for r, _, _ in tr.messages) + 1
-print(f"forward : answer={answer} rounds={rounds} total_bits={tr.total_bits}")
+print(f"forward : answer={answer} rounds={tr.rounds} total_bits={tr.total_bits}")
 print(f"          set-message bits={protocols.set_message_bits(tr, inst.n)} (= 2pn = {4 * inst.n})")
 
 # Reverse order: one round.  Player order runs from the outermost table
 # down to player 0, who announces the answer.
 answer, tr = protocols.reverse_order_sc_protocol(inst)
-rounds = max(r for r, _, _ in tr.messages) + 1
-print(f"reverse : answer={answer} rounds={rounds} total_bits={tr.total_bits}")
+print(f"reverse : answer={answer} rounds={tr.rounds} total_bits={tr.total_bits}")
 
 # The transcript dump shows (round, player, bits) per message.
 print("\nreverse-order transcript:")

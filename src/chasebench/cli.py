@@ -142,8 +142,7 @@ def _cmd_solve_protocol(args) -> int:
     lines = []
     if args.dump:
         lines.append(transcript.dump())
-    rounds = max(r for r, _, _ in transcript.messages) + 1
-    lines.append(f"answer={answer} rounds={rounds} total_bits={transcript.total_bits}\n")
+    lines.append(f"answer={answer} rounds={transcript.rounds} total_bits={transcript.total_bits}\n")
     sys.stdout.write("".join(lines))
     return 0
 

@@ -141,6 +141,7 @@ def _parse_tables(lines, end: int, n: int, count: int, set_valued: bool):
                 raise GameFormatError(f"line {lineno}: function rows need exactly one target")
             lengths.append(len(targets))
             flat.extend(targets)
+        flat = np.array(flat, dtype=np.int64)  # targets passed int(): no exactness check needed
         if set_valued:
             tables.append(SetFunctionTable(n, np.cumsum(lengths), flat))
         else:

@@ -61,6 +61,8 @@ class FiniteDistribution(FrozenRecord):
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteDistribution":
+        if n < 1:
+            raise ValueError("uniform distribution needs n >= 1")
         return cls(np.full(n, 1.0 / n))
 
     def support(self) -> np.ndarray:

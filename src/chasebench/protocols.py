@@ -8,6 +8,7 @@ as are round indices; transcript dumps keep that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -69,6 +70,10 @@ class Transcript:
     def total_bits(self) -> int:
         return sum(len(bits) for _, _, bits in self.messages)
 
+    @property
+    def rounds(self) -> int:
+        return max((r for r, _, _ in self.messages), default=-1) + 1
+
     def message_from(self, round_: int, player: int) -> str:
         for r, pl, bits in self.messages:
             if r == round_ and pl == player:
@@ -116,23 +121,42 @@ def run_protocol(
 # message" is the current reachable set as a fixed-width n-bit bitmap.
 
 
-def _apply_table(table: SetFunctionTable, prev_bits: str | None) -> np.ndarray:
-    if prev_bits is None:
-        cur = np.array([0], dtype=np.int64)
-    else:
-        cur = np.nonzero(str_to_bitmap(prev_bits[: table.n]))[0].astype(np.int64)
-    return _vec_apply_sorted(table, cur)
+def _set_chase_protocol(inst: IntersectScInstance, schedule: Schedule) -> tuple[int, Transcript]:
+    """Run the one set-chase rule under `schedule`; only the order differs.
 
+    Players p-1 and 2p-1 broadcast their table's image of {0} at their first
+    turn, any other player i its table's image of player i+1's set at its
+    first turn after that broadcast.  Other turns send the placeholder "0";
+    the last turn appends the intersection bit of player 0's and p's sets.
+    """
+    n, p = inst.n, inst.p
+    starts = (p - 1, 2 * p - 1)
+    said: dict[int, int] = {}  # player -> round of its set broadcast
+    for round_, turn_order in enumerate(schedule.order):
+        for player in turn_order:
+            if player not in said and (player in starts or player + 1 in said):
+                said[player] = round_
+            last = (round_, player)
 
-def _bitmap(n: int, elems: np.ndarray) -> str:
-    mask = np.zeros(n, dtype=bool)
-    mask[elems] = True
-    return bitmap_to_str(mask)
+    def speak(player: int, table: SetFunctionTable, transcript: Transcript, round_: int) -> str:
+        msg = ""
+        if round_ == said.get(player):
+            if player in starts:  # row 0 of the table is its image of {0}
+                elems = table.values[table.offsets[0] : table.offsets[1]]
+            else:
+                prev = str_to_bitmap(transcript.message_from(said[player + 1], player + 1))
+                elems = _vec_apply_sorted(table, np.nonzero(prev)[0])
+            mask = np.zeros(n, dtype=bool)
+            mask[elems] = True
+            msg = bitmap_to_str(mask)
+        if (round_, player) != last:
+            return msg or "0"
+        left = msg if player == 0 else transcript.message_from(said[0], 0)
+        right = msg if player == p else transcript.message_from(said[p], p)
+        return msg + ("1" if (str_to_bitmap(left) & str_to_bitmap(right)).any() else "0")
 
-
-def _intersect_bit(left_bits: str, right_bits: str, n: int) -> str:
-    hit = (str_to_bitmap(left_bits[:n]) & str_to_bitmap(right_bits[:n])).any()
-    return "1" if hit else "0"
+    inputs = list(inst.left.funcs) + list(inst.right.funcs)
+    return run_protocol(schedule, [partial(speak, i) for i in range(2 * p)], inputs)
 
 
 def forward_sc_protocol(inst: IntersectScInstance) -> tuple[int, Transcript]:
@@ -144,31 +168,7 @@ def forward_sc_protocol(inst: IntersectScInstance) -> tuple[int, Transcript]:
     final bitmaps off the blackboard and outputs the intersection bit, so
     set messages total exactly 2p*n bits.
     """
-    n, p = inst.n, inst.p
-
-    def make_strategy(player: int) -> Strategy:
-        def speak(table: SetFunctionTable, transcript: Transcript, round_: int) -> str:
-            msg = None
-            if player == p - 1 - round_:  # left set speaker this round
-                prev = None if round_ == 0 else transcript.message_from(round_ - 1, player + 1)
-                msg = _bitmap(n, _apply_table(table, prev))
-            elif player == 2 * p - 1 - round_:  # right set speaker this round
-                prev = None if round_ == 0 else transcript.message_from(round_ - 1, player + 1)
-                msg = _bitmap(n, _apply_table(table, prev))
-            if player == 2 * p - 1 and round_ == p - 1:
-                # final turn: append the answer bit to whatever was due
-                left_final = transcript.message_from(p - 1, 0)
-                right_final = msg if msg is not None else transcript.message_from(p - 1, p)
-                answer = _intersect_bit(left_final, right_final, n)
-                return (msg or "") + answer
-            return msg if msg is not None else "0"
-
-        return speak
-
-    schedule = Schedule.standard(2 * p, p)
-    inputs = list(inst.left.funcs) + list(inst.right.funcs)
-    strategies = [make_strategy(i) for i in range(2 * p)]
-    return run_protocol(schedule, strategies, inputs)
+    return _set_chase_protocol(inst, Schedule.standard(2 * inst.p, inst.p))
 
 
 def reverse_order_sc_protocol(inst: IntersectScInstance) -> tuple[int, Transcript]:
@@ -178,24 +178,7 @@ def reverse_order_sc_protocol(inst: IntersectScInstance) -> tuple[int, Transcrip
     broadcasts it as an n-bit bitmap; player 0 appends the answer bit, so the
     total is 2p*n + 1 <= 2p*(n+1) bits.
     """
-    n, p = inst.n, inst.p
-
-    def make_strategy(player: int) -> Strategy:
-        def speak(table: SetFunctionTable, transcript: Transcript, round_: int) -> str:
-            starts_side = player == 2 * p - 1 or player == p - 1
-            prev = None if starts_side else transcript.message_from(0, player + 1)
-            msg = _bitmap(n, _apply_table(table, prev))
-            if player == 0:
-                answer = _intersect_bit(msg, transcript.message_from(0, p), n)
-                return msg + answer
-            return msg
-
-        return speak
-
-    schedule = Schedule(2 * p, 1, (tuple(range(2 * p - 1, -1, -1)),))
-    inputs = list(inst.left.funcs) + list(inst.right.funcs)
-    strategies = [make_strategy(i) for i in range(2 * p)]
-    return run_protocol(schedule, strategies, inputs)
+    return _set_chase_protocol(inst, Schedule(2 * inst.p, 1, (tuple(range(2 * inst.p))[::-1],)))
 
 
 def set_message_bits(transcript: Transcript, n: int) -> int:

@@ -57,8 +57,23 @@ def str_to_bitmap(bits: str) -> np.ndarray:
 
 
 def frozen_copy(values, dtype) -> np.ndarray:
-    """A read-only, C-contiguous copy of `values` as `dtype`; never a view."""
-    arr = np.array(values, dtype=dtype, order="C")
+    """A read-only, C-contiguous copy of `values` as `dtype`; never a view.
+
+    Into an integer dtype, a value the cast would change (1.5, NaN, inf)
+    raises ValueError; numpy's OverflowError for a Python number beyond the
+    dtype passes through.
+    """
+    src = np.asarray(values)
+    if src.dtype == dtype or np.dtype(dtype).kind != "i":
+        arr = np.array(src, dtype=dtype, order="C")
+    else:
+        if src.dtype.kind in "fc" and not np.isfinite(src).all():
+            raise ValueError(f"values change under the cast to {np.dtype(dtype)}")
+        # cast `values`: inference may turn a Python int beyond int64 into a float
+        with np.errstate(invalid="ignore"):
+            arr = np.array(values, dtype=dtype, order="C")
+        if not (arr == src).all():
+            raise ValueError(f"values change under the cast to {np.dtype(dtype)}")
     arr.flags.writeable = False
     return arr
 

@@ -233,9 +233,9 @@ def protocol_errors(inst: games.IntersectScInstance) -> tuple[int, int, int, int
     rev, rtr = protocols.reverse_order_sc_protocol(inst)
     return (
         (fwd != truth) + (rev != truth),
-        int(max(r for r, _, _ in ftr.messages) + 1 != p),
+        int(ftr.rounds != p),
         int(protocols.set_message_bits(ftr, n) != 2 * p * n),
-        int(max(r for r, _, _ in rtr.messages) + 1 != 1),
+        int(rtr.rounds != 1),
         int(rtr.total_bits > 2 * p * (n + 1)),
     )
 
@@ -487,13 +487,11 @@ def _suite_streaming(seed: int, trials: Optional[int]) -> list[CheckResult]:
         rep = streaming.run_streaming(streaming.alg_directed_frontier(), r_g, d_g.nv + 1)
         mism += rep.answer != truth
         rep = streaming.run_streaming(streaming.alg_union_find(), d_g, 2)
-        conn = oracles.oracle_distance(d_g) < math.inf
-        mism += rep.answer != int(conn)
+        dist = oracles.oracle_distance(d_g)
+        mism += rep.answer != int(dist < math.inf)
         uf_pass_bad += rep.passes_used != 1
         rev_bad += oracles.oracle_reachable(gadgets.reverse_stream(r_g)) != oracles.oracle_reachable(r_g)
-        rev_bad += (
-            oracles.oracle_distance(gadgets.reverse_stream(d_g)) != oracles.oracle_distance(d_g)
-        )
+        rev_bad += oracles.oracle_distance(gadgets.reverse_stream(d_g)) != dist
     rows.append(CheckResult("streaming", "answer-mismatches", mism, "=0", mism == 0))
     rows.append(CheckResult("streaming", "union-find-pass-errors", uf_pass_bad, "=0", uf_pass_bad == 0))
     rows.append(CheckResult("streaming", "reversal-oracle-changes", rev_bad, "=0", rev_bad == 0))

@@ -66,6 +66,10 @@ def test_distribution_validation():
     for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1.0, 0.0, np.nan]):
         with pytest.raises(ValueError, match="finite"):
             cb.FiniteDistribution(np.array(bad))
+    for bad_n in (0, -1, -5):
+        with pytest.raises(ValueError, match="n >= 1"):
+            cb.FiniteDistribution.uniform(bad_n)
+    assert cb.FiniteDistribution.uniform(1).probs.tolist() == [1.0]
     u = cb.FiniteDistribution.uniform(4)
     assert u.n == 4
     assert np.allclose(u.probs, 0.25)

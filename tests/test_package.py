@@ -83,3 +83,23 @@ def test_array_records_compare_by_value_and_are_unhashable(name):
     assert a != object()
     with pytest.raises(TypeError):
         hash(a)
+
+
+
+NON_INTEGRAL_RECORDS = {
+    "FunctionTable": lambda v: cb.FunctionTable(3, [v, 1, 2]),
+    "SetFunctionTable": lambda v: cb.SetFunctionTable(2, [0, 1, 2], [v, 0.0]),
+    "GraphStream": lambda v: cb.GraphStream(3, False, 0, 2, 0, [[v, 1.0]]),
+    "PermutationFamily": lambda v: cb.PermutationFamily(2, [[[v, 1.0]]], [[[v, 1.0]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGRAL_RECORDS))
+def test_integer_records_refuse_values_the_cast_would_change(name):
+    build = NON_INTEGRAL_RECORDS[name]
+    for bad in (0.5, 0.9, 1.99, np.nan, np.inf, -np.inf, np.float32(0.5)):
+        with pytest.raises(ValueError, match="change under the cast to int64"):
+            build(bad)
+    # values the cast keeps still pass, as floats, bools or other integer types
+    for good in (0.0, False, np.int32(0), np.uint8(0)):
+        assert build(good) == build(0)

@@ -46,6 +46,7 @@ def test_run_protocol_rejects_bad_messages():
 def test_transcript_lookup_and_dump_format():
     tr = cb.Transcript([(0, 1, "101"), (1, 0, "0")])
     assert tr.message_from(0, 1) == "101"
+    assert tr.rounds == 2 and cb.Transcript().rounds == 0
     with pytest.raises(ProtocolError):
         tr.message_from(2, 0)
     for line in tr.dump().splitlines():
@@ -54,12 +55,11 @@ def test_transcript_lookup_and_dump_format():
 
 def _counts_ok(inst, answer, transcript, kind):
     n, p = inst.n, inst.p
-    rounds = max(r for r, _, _ in transcript.messages) + 1
     if kind == "forward":
-        assert rounds == p
+        assert transcript.rounds == p
         assert cb.set_message_bits(transcript, n) == 2 * p * n
     else:
-        assert rounds == 1
+        assert transcript.rounds == 1
         assert transcript.total_bits == 2 * p * n + 1
         assert transcript.total_bits <= 2 * p * (n + 1)
     assert answer == brute_intersect(inst)
