@@ -124,8 +124,8 @@ class PermutationFamily(FrozenRecord):
             flat = fam.reshape(-1, self.n)
             if flat.size and (flat.min() < 0 or flat.max() >= self.n):
                 raise ValueError("every row must be a permutation of [0, n)")
-            hit = np.zeros(flat.shape, dtype=bool)
-            np.put_along_axis(hit, flat, True, axis=1)
+            hit = np.zeros(flat.size, dtype=bool)
+            hit[(flat + np.arange(len(flat))[:, None] * self.n).ravel()] = True
             if not hit.all():
                 raise ValueError("every row must be a permutation of [0, n)")
         if not np.array_equal(pi[:, 0, :], rho[:, 0, :]):
@@ -179,16 +179,20 @@ def _scramble_side(
     """Conjugate one chase's tables by the layer permutations.
 
     Layer i becomes perms[i] o f_i o perms[i+1]^-1; the innermost layer has
-    no inner inverse so the chase still starts at the raw element 0.
+    no inner inverse so the chase still starts at the raw element 0.  An
+    inner layer is one scatter: the new table sends perms[i+1][x] to
+    perms[i][f_i(x)].
     """
     p = len(funcs)
     n = funcs[0].n
     out = []
     for i in range(p):
-        image = funcs[i].image
+        image = perms[i][funcs[i].image]
         if i + 1 < p:
-            image = image[_invert(perms[i + 1])]
-        out.append(FunctionTable(n, perms[i][image]))
+            inner = np.empty_like(image)
+            inner[perms[i + 1]] = image
+            image = inner
+        out.append(FunctionTable(n, image))
     return tuple(out)
 
 
@@ -217,23 +221,32 @@ def overlay(
 
     Layer i of the result maps x to the set of the t scrambled layer-i
     values at x (duplicates collapse).
+
+    Each layer is one sort of the n*t keys x*n + image_j[x].  Row x's keys
+    lie in [x*n, (x+1)*n), so the sorted keys, read as an (n, t) array, hold
+    every row's values in order.  Keys stay below n^2, which int64 holds for
+    every n whose tables fit in memory.
     """
     if not scrambled:
         raise ValueError("need at least one scrambled item")
     n = scrambled[0][0][0].n
     p = len(scrambled[0][0])
+    t = len(scrambled)
+    row_base = np.arange(n, dtype=np.int64) * n
+    keys = np.empty(n * t, dtype=np.int64)
 
     def overlay_side(side: int) -> ScInstance:
         tables = []
         for i in range(p):
-            stacked = np.sort(
-                np.stack([pair[side][i].image for pair in scrambled]), axis=0
-            )
-            keep = np.ones_like(stacked, dtype=bool)
-            keep[1:] = stacked[1:] != stacked[:-1]
+            for j, pair in enumerate(scrambled):
+                np.add(pair[side][i].image, row_base, out=keys[j::t])
+            keys.sort(kind="stable")
+            rows = keys.reshape(n, t)
+            keep = np.ones((n, t), dtype=bool)
+            keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
             offsets = np.zeros(n + 1, dtype=np.int64)
-            offsets[1:] = np.cumsum(keep.sum(axis=0))
-            values = stacked.T[keep.T]
+            offsets[1:] = np.cumsum(keep)[t - 1 :: t]
+            values = (rows - row_base[:, None])[keep]
             tables.append(SetFunctionTable(n, offsets, values))
         return ScInstance(n, p, tuple(tables))
 

@@ -273,7 +273,7 @@ def completeness_failures(rng: np.random.Generator, trials: int, n: int, p: int,
         j = int(rng.integers(t))
         items[j] = games.force_equal(items[j])
         inst = games.OrLpceInstance(t, tuple(items))
-        if any(games.is_r_non_injective(f, r) for item in inst.items for f in item.tables()):
+        if reduction._find_non_injective(inst) is not None:
             continue
         reduced = reduction.reduce_or_lpce(inst, rng, check_feasible=False)
         assert not isinstance(reduced, reduction.ShortCircuit)

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: outputs, determinism, and exit codes."""
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,30 @@ def test_reduce_sampled_is_deterministic(capsys):
     _, a, _ = run_cli(capsys, *args)
     _, b, _ = run_cli(capsys, *args)
     assert a == b and a.startswith("scgame v1 kind=intersectsc")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # t=2, p=2: runs the inner-layer scatter of the scramble
+        (
+            ("reduce", "--seed", "9", "--n", "4096", "--p", "2", "--t", "2"),
+            "5b1bafdb5b3bb27e7614242b067c79e1aa3c5ebe81852c7dc6c440d352049924",
+        ),
+        (
+            ("reduce", "--seed", "9", "--n", "1024", "--p", "1"),
+            "fcb0b1011317452e5b3f8b6edf1313fb9aa975b7736c63283c505638dd9aa2f5",
+        ),
+        (
+            ("verify", "--suite", "reduction", "--seed", "1"),
+            "00891a0e01750947390def3547eb5561c44763502cdf17375ed043825d6fa343",
+        ),
+    ],
+)
+def test_reduction_outputs_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reduce_infeasible_exits_3(capsys):

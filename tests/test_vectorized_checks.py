@@ -1,19 +1,29 @@
-"""Differential tests: the array-level checks against the per-element loops they replaced.
+"""Differential tests: the array-level code against the versions it replaced.
 
-Each reference below is the earlier per-element version, kept verbatim in
+Each reference below is the earlier version (a per-element loop, or for the
+scramble and overlay kernels the earlier array code), kept verbatim in
 behaviour, and each test asserts the current code accepts and rejects (or
-renders) exactly what the reference does, with the same error text.
+renders, or builds) exactly what the reference does, with the same error text.
 """
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chasebench import games, info
 from chasebench.errors import ProtocolError
-from chasebench.games import SetFunctionTable
+from chasebench.games import FunctionTable, IntersectScInstance, ScInstance, SetFunctionTable
 from chasebench.protocols import _validate_message
-from chasebench.reduction import PermutationFamily, sample_permutation_family
-from chasebench.util import bitmap_to_str
+from chasebench.reduction import (
+    PermutationFamily,
+    ShortCircuit,
+    _invert,
+    _scramble_side,
+    overlay,
+    reduce_or_lpce,
+    sample_permutation_family,
+)
+from chasebench.util import bitmap_to_str, derive_rng
 
 # ------------------------------------------------------------------ references
 
@@ -218,3 +228,83 @@ def test_permutation_inverse_equals_argsort(n, p, t, seed):
     inv = fam.inverse()
     assert np.array_equal(inv.pi, np.argsort(fam.pi, axis=2))
     assert np.array_equal(inv.rho, np.argsort(fam.rho, axis=2))
+
+
+# ------------------------------------------------------- scramble and overlay
+
+
+def reference_scramble_side(funcs, perms):
+    """Old _scramble_side: gather through each inner layer's inverse permutation."""
+    p = len(funcs)
+    n = funcs[0].n
+    out = []
+    for i in range(p):
+        image = funcs[i].image
+        if i + 1 < p:
+            image = image[_invert(perms[i + 1])]
+        out.append(FunctionTable(n, perms[i][image]))
+    return tuple(out)
+
+
+def reference_overlay(scrambled):
+    """Old overlay: sort the stacked (t, n) images along axis 0 per layer."""
+    n = scrambled[0][0][0].n
+    p = len(scrambled[0][0])
+
+    def overlay_side(side):
+        tables = []
+        for i in range(p):
+            stacked = np.sort(np.stack([pair[side][i].image for pair in scrambled]), axis=0)
+            keep = np.ones_like(stacked, dtype=bool)
+            keep[1:] = stacked[1:] != stacked[:-1]
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            offsets[1:] = np.cumsum(keep.sum(axis=0))
+            values = stacked.T[keep.T]
+            tables.append(SetFunctionTable(n, offsets, values))
+        return ScInstance(n, p, tuple(tables))
+
+    return IntersectScInstance(overlay_side(0), overlay_side(1))
+
+
+def reference_reduce(inst, rng):
+    """reduce_or_lpce with the old scramble and overlay, for an instance that
+    does not short-circuit; same RNG draws."""
+    perms = sample_permutation_family(inst.n, inst.p, inst.t, rng)
+    return reference_overlay(
+        [
+            (
+                reference_scramble_side(item.left.funcs, perms.pi[j]),
+                reference_scramble_side(item.right.funcs, perms.rho[j]),
+            )
+            for j, item in enumerate(inst.items)
+        ]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(1, 1, 1, 0)  # one element, one layer, one item
+@example(2, 3, 6, 0)  # n = 2 makes most of the six images collide
+def test_scramble_and_overlay_match_references(n, p, t, seed):
+    # small n makes the t images collide, so the dedup inside each row runs
+    rng = np.random.default_rng(seed)
+    perms = sample_permutation_family(n, p, t, rng)
+    scrambled = []
+    for j in range(t):
+        pair = []
+        for fam in (perms.pi, perms.rho):
+            funcs = tuple(FunctionTable(n, rng.integers(0, n, n)) for _ in range(p))
+            got = _scramble_side(funcs, fam[j])
+            assert got == reference_scramble_side(funcs, fam[j])
+            pair.append(got)
+        scrambled.append(tuple(pair))
+    assert overlay(scrambled) == reference_overlay(scrambled)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduce_matches_reference_pipeline_at_n4096(seed):
+    n, p, t = 4096, 2, 2
+    inst = games.sample_uniform_or_lpce(n, p, info.c_star_threshold(n), t, derive_rng(seed))
+    got = reduce_or_lpce(inst, derive_rng(seed, 1))
+    assert not isinstance(got, ShortCircuit)
+    assert got == reference_reduce(inst, derive_rng(seed, 1))
