@@ -19,75 +19,61 @@ from .gadgets import GraphStream
 __all__ = ["oracle_distance", "oracle_reachable", "oracle_perfect_matching", "two_color"]
 
 
-def _adjacency(stream: GraphStream) -> list[list[int]]:
+def _adjacency(stream: GraphStream, directed: bool) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(stream.nv)]
     sources, targets = stream.edges.T.tolist()
     for a, b in zip(sources, targets):
         adj[a].append(b)
-        if not stream.directed:
+        if not directed:
             adj[b].append(a)
     return adj
 
 
-def oracle_distance(stream: GraphStream) -> Union[int, float]:
-    """Exact src-dst distance by BFS; math.inf when unreachable."""
-    if stream.src == stream.dst:
-        return 0
-    adj = _adjacency(stream)
-    dist = [-1] * stream.nv
-    dist[stream.src] = 0
-    queue = deque([stream.src])
+def _bfs(adj: list[list[int]], start: int, level: list[int], stop: int = -1) -> None:
+    """Write the BFS depth from start into level for every vertex it
+    reaches whose level is still -1; return as soon as stop gets one."""
+    level[start] = 0
+    queue = deque([start])
     while queue:
         x = queue.popleft()
+        depth = level[x] + 1
         for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                if y == stream.dst:
-                    return dist[y]
+            if level[y] < 0:
+                level[y] = depth
+                if y == stop:
+                    return
                 queue.append(y)
-    return math.inf
+
+
+def oracle_distance(stream: GraphStream) -> Union[int, float]:
+    """Exact src-dst distance by BFS, along the edge direction when the
+    stream is directed; math.inf when unreachable."""
+    if stream.src == stream.dst:
+        return 0
+    level = [-1] * stream.nv
+    _bfs(_adjacency(stream, stream.directed), stream.src, level, stream.dst)
+    return level[stream.dst] if level[stream.dst] >= 0 else math.inf
 
 
 def oracle_reachable(stream: GraphStream) -> int:
-    """1 iff dst is reachable from src (iterative DFS)."""
-    if stream.src == stream.dst:
-        return 1
-    adj = _adjacency(stream)
-    seen = [False] * stream.nv
-    seen[stream.src] = True
-    stack = [stream.src]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                if y == stream.dst:
-                    return 1
-                seen[y] = True
-                stack.append(y)
-    return 0
+    """1 iff dst is reachable from src."""
+    return int(oracle_distance(stream) < math.inf)
 
 
 def two_color(stream: GraphStream) -> np.ndarray:
-    """A 0/1 coloring with no monochromatic edge; raises if none exists."""
-    adj = _adjacency(stream)
-    # a Python list: indexing an int8 array per edge costs more than the BFS
-    color = [-1] * stream.nv
+    """A 0/1 coloring of the undirected graph with no monochromatic edge;
+    raises if none exists.  Each component takes the parity of its BFS
+    depth from the component's smallest vertex."""
+    adj = _adjacency(stream, False)
+    level = [-1] * stream.nv
     for start in range(stream.nv):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            cx = color[x]
-            for y in adj[x]:
-                cy = color[y]
-                if cy < 0:
-                    color[y] = 1 - cx
-                    queue.append(y)
-                elif cy == cx:
-                    raise ValueError("graph is not bipartite")
-    return np.array(color, dtype=np.int8)
+        if level[start] < 0:
+            _bfs(adj, start, level)
+    # parity before narrowing: depths pass 127 on long paths
+    color = (np.array(level, dtype=np.int64) % 2).astype(np.int8)
+    if (color[stream.edges[:, 0]] == color[stream.edges[:, 1]]).any():
+        raise ValueError("graph is not bipartite")
+    return color
 
 
 def oracle_perfect_matching(stream: GraphStream) -> int:

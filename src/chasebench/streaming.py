@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .gadgets import GraphStream
 from .util import pack_uints, unpack_uints
@@ -241,9 +243,11 @@ class _ForwardBfs(StreamingAlgorithm):
 class _UnionFind(StreamingAlgorithm):
     """Undirected src-dst connectivity in a single pass.
 
-    State is one parent pointer per vertex; serialization canonicalizes
-    every entry to its root and packs it at ceil(log2 nv) bits, so the
-    measured state is nv words regardless of in-pass path compression.
+    State is one root per vertex: the smallest vertex of its component
+    among the edges seen so far, packed at ceil(log2 nv) bits, so the
+    measured state is nv words.  A pass joins each vertex to its stored
+    root and adds the pass's edges, then takes the components in one
+    library call.
     """
 
     name = "union-find"
@@ -255,36 +259,25 @@ class _UnionFind(StreamingAlgorithm):
         self.src = meta.src
         self.dst = meta.dst
         self.width = max(1, (self.n - 1).bit_length())
-        self.parent = list(range(self.n))
+        self.root = np.arange(self.n)
         if meta.src == meta.dst:
             return 1
         return None
 
-    def _find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def run_pass(self, edges: np.ndarray) -> Optional[int]:
-        find, parent = self._find, self.parent
-        for a, b in zip(*edges.T.tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # smaller root wins, keeping the serialized form canonical
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-        return int(find(self.src) == find(self.dst))
+        a = np.concatenate((edges[:, 0], np.arange(self.n)))
+        b = np.concatenate((edges[:, 1], self.root))
+        graph = csr_matrix((np.ones(a.size, dtype=bool), (a, b)), shape=(self.n, self.n))
+        _, label = connected_components(graph, directed=False)
+        # the first vertex of each label is its component's smallest
+        self.root = np.unique(label, return_index=True)[1][label]
+        return int(self.root[self.src] == self.root[self.dst])
 
     def serialize_state(self) -> bytes:
-        roots = [self._find(x) for x in range(self.n)]
-        return pack_uints(roots, self.width)
+        return pack_uints(self.root, self.width)
 
     def restore_state(self, blob: bytes) -> None:
-        self.parent = [int(x) for x in unpack_uints(blob, self.width, self.n)]
+        self.root = unpack_uints(blob, self.width, self.n)
 
 
 class _DirectedFrontier(StreamingAlgorithm):

@@ -123,6 +123,20 @@ def mixture_violations(
     return bad
 
 
+def good_set_mass_margin(
+    rng: np.random.Generator,
+    trials: int,
+    draw: Callable[[np.random.Generator], tuple],
+) -> float:
+    """Smallest good-set p-mass minus (1 - eps) over `trials` drawn (p, q, eps)."""
+    margin = math.inf
+    for _ in range(trials):
+        p, q, eps = draw(rng)
+        mass = sum(float(p.probs[i]) for i in info.good_set(p, q, eps))
+        margin = min(margin, mass - (1.0 - eps))
+    return margin
+
+
 def starved_pair() -> tuple[info.FiniteDistribution, info.FiniteDistribution, float]:
     """8-atom (p, q, eps) with q starving p's heavy atom: a proper good set."""
     pp = np.full(8, 0.1)
@@ -182,14 +196,11 @@ def _suite_info(seed: int, trials: Optional[int]) -> list[CheckResult]:
     )
     add("mixture-entropy-violations", mix_bad, "=0", mix_bad == 0)
 
-    rng = derive_rng(seed, 0, 6)
-    min_margin = math.inf
-    for _ in range(min(t, 500)):
-        p = _random_dist(10, rng)
-        q = _random_dist(10, rng)
-        eps = float(rng.uniform(0.2, 0.9))
-        mass = sum(float(p.probs[i]) for i in info.good_set(p, q, eps))
-        min_margin = min(min_margin, mass - (1.0 - eps))
+    min_margin = good_set_mass_margin(
+        derive_rng(seed, 0, 6),
+        min(t, 500),
+        lambda rng: (_random_dist(10, rng), _random_dist(10, rng), float(rng.uniform(0.2, 0.9))),
+    )
     add("good-set-mass-margin", min_margin, ">=0", min_margin >= -1e-12)
 
     p8, q8, eps8 = starved_pair()

@@ -206,18 +206,16 @@ def test_criterion_08_rejection_sampler(announce):
     mean_cap = 1.0 / stop + 3 * float(np.std(steps)) / math.sqrt(draws)
     steps_ok = float(np.mean(steps)) <= mean_cap
 
-    rng = derive_rng(108, 1)
-    mass_bad = 0
-    for _ in range(1000):
+    def dirichlet_triple(rng):
         n = int(rng.integers(2, 33))
         pp = info.FiniteDistribution(rng.dirichlet(np.ones(n)))
         qq = info.FiniteDistribution(rng.dirichlet(np.ones(n)))
-        e = float(rng.uniform(0.1, 0.95))
-        mass = float(pp.probs[sorted(info.good_set(pp, qq, e))].sum())
-        mass_bad += mass < 1.0 - e - 1e-12
+        return pp, qq, float(rng.uniform(0.1, 0.95))
+
+    margin = verify.good_set_mass_margin(derive_rng(108, 1), 1000, dirichlet_triple)
     announce(
         8,
-        law_ok and steps_ok and mass_bad == 0,
+        law_ok and steps_ok and margin >= -1e-12,
         f"law chi-square p={chi.pvalue:.3g} >= 1e-3, mean steps {float(np.mean(steps)):.3f} "
         f"<= {mean_cap:.3f}, good-set mass >= 1-eps on 1000/1000 triples",
     )

@@ -181,6 +181,24 @@ def test_reduce_sampled_is_deterministic(capsys):
             ("verify", "--suite", "reduction", "--seed", "1"),
             "00891a0e01750947390def3547eb5561c44763502cdf17375ed043825d6fa343",
         ),
+        # oracles, two_color, the streaming baselines and the good-set mass
+        (
+            ("verify", "--suite", "gadgets", "--seed", "1"),
+            "8fb6b376a36f323c8d714f1066145f10e2b3653f06f99b6f96859f32a0dae3f8",
+        ),
+        (
+            ("verify", "--suite", "streaming", "--seed", "1"),
+            "6672e30865fb17fef77e67c06e0e8564b5c6bafa64254ed5f16d725498241f46",
+        ),
+        (
+            ("verify", "--suite", "info", "--seed", "1", "--trials", "200"),
+            "6d05b389f1d94a886010151fc88fee1389466fa6ff53975283142d81f929261e",
+        ),
+        # "answer,passes_used,max_state_bits\n1,1,104\n"
+        (
+            ("stream-run", "--input", str(GOLDEN / "distance_k4_p1_seed31.gs"), "--alg", "union-find"),
+            "768a8805f73853cba5905424121714f32c1b313b4d7e654062bef5e6e635ff26",
+        ),
     ],
 )
 def test_reduction_outputs_are_pinned(capsys, argv, digest):

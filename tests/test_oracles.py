@@ -1,5 +1,8 @@
-"""Graph oracles against hand graphs and independent brute-force baselines."""
+"""Graph oracles against hand graphs, independent brute-force baselines and
+the per-question traversals that the shared BFS replaced."""
 import math
+from collections import deque
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
@@ -43,6 +46,14 @@ def test_two_color_on_even_structures():
     assert colors.tolist() == [0, 1, 0, 1]
     with pytest.raises(ValueError):
         cb.two_color(_stream(3, False, [(0, 1), (1, 2), (2, 0)]))  # odd cycle
+
+
+def test_two_color_ignores_edge_direction():
+    # vertex 1 only has an out-edge, yet it is vertex 0's neighbour
+    assert cb.two_color(_stream(2, True, [(1, 0)])).tolist() == [0, 1]
+    assert cb.two_color(_stream(4, True, [(3, 1), (2, 1), (0, 2)])).tolist() == [0, 0, 1, 1]
+    with pytest.raises(ValueError, match="not bipartite"):
+        cb.two_color(_stream(3, True, [(0, 1), (1, 2), (2, 0)]))
 
 
 def test_perfect_matching_hand_cases():
@@ -169,16 +180,27 @@ def test_two_color_matches_bfs_parity_from_each_component_minimum():
             cb.two_color(_stream(cycle + 2, False, [(cycle, cycle + 1), *odd]))
 
 
-def test_oracles_agree_with_networkx_on_sampled_gadgets():
-    # the criterion-03 sampled family: k in [2, 16], depth in [2, 4]
+@lru_cache(maxsize=None)
+def sampled_gadgets():
+    """The criterion-03 sampled family: k in [2, 16], depth in [2, 4], as
+    (distance, reachability, matching) gadget triples."""
     rng = cb.derive_rng(72)
-    answers = set()
+    triples = []
     for _ in range(300):
         k = int(rng.integers(2, 17))
         depth = int(rng.integers(2, 5))
         inst = cb.sample_intersect_sc(k, depth, rng, include_prob=float(rng.uniform(0.05, 0.5)))
+        triples.append((
+            cb.build_distance_gadget(inst),
+            cb.build_reachability_gadget(inst),
+            cb.build_matching_gadget(inst),
+        ))
+    return tuple(triples)
 
-        dist = cb.build_distance_gadget(inst)
+
+def test_oracles_agree_with_networkx_on_sampled_gadgets():
+    answers = set()
+    for dist, reach, match in sampled_gadgets():
         g = _nx_graph(dist)
         want = (
             nx.shortest_path_length(g, dist.src, dist.dst)
@@ -187,14 +209,133 @@ def test_oracles_agree_with_networkx_on_sampled_gadgets():
         )
         assert cb.oracle_distance(dist) == want
 
-        reach = cb.build_reachability_gadget(inst)
         reachable = int(nx.has_path(_nx_graph(reach), reach.src, reach.dst))
         assert cb.oracle_reachable(reach) == reachable
 
-        match = cb.build_matching_gadget(inst)
         g = _nx_graph(match)
         top = [v for v, side in nx.bipartite.color(g).items() if side == 0]
         matched = nx.bipartite.hopcroft_karp_matching(g, top_nodes=top)
         assert cb.oracle_perfect_matching(match) == int(len(matched) == match.nv)
         answers.add(reachable)
     assert answers == {0, 1}
+
+
+# ------------------------------------------- the traversals _bfs replaced
+
+
+def _ref_adjacency(stream):
+    adj = [[] for _ in range(stream.nv)]
+    sources, targets = stream.edges.T.tolist()
+    for a, b in zip(sources, targets):
+        adj[a].append(b)
+        if not stream.directed:
+            adj[b].append(a)
+    return adj
+
+
+def _ref_distance(stream):
+    if stream.src == stream.dst:
+        return 0
+    adj = _ref_adjacency(stream)
+    dist = [-1] * stream.nv
+    dist[stream.src] = 0
+    queue = deque([stream.src])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                if y == stream.dst:
+                    return dist[y]
+                queue.append(y)
+    return math.inf
+
+
+def _ref_reachable(stream):
+    if stream.src == stream.dst:
+        return 1
+    adj = _ref_adjacency(stream)
+    seen = [False] * stream.nv
+    seen[stream.src] = True
+    stack = [stream.src]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if not seen[y]:
+                if y == stream.dst:
+                    return 1
+                seen[y] = True
+                stack.append(y)
+    return 0
+
+
+def _ref_two_color(stream):
+    """The former coloring; it followed edge direction, so compare it on
+    undirected streams only."""
+    adj = _ref_adjacency(stream)
+    color = [-1] * stream.nv
+    for start in range(stream.nv):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            cx = color[x]
+            for y in adj[x]:
+                cy = color[y]
+                if cy < 0:
+                    color[y] = 1 - cx
+                    queue.append(y)
+                elif cy == cx:
+                    raise ValueError("graph is not bipartite")
+    return np.array(color, dtype=np.int8)
+
+
+def _coloring(two_color, stream):
+    try:
+        colors = two_color(stream)
+    except ValueError as err:
+        return str(err)
+    assert colors.dtype == np.int8
+    return colors.tolist()
+
+
+def random_graphs():
+    """Sparse random graphs on 1-30 vertices, so isolated vertices are
+    common, in both directions; every fourth one has src == dst."""
+    rng = cb.derive_rng(74)
+    streams = []
+    for i in range(240):
+        nv = int(rng.integers(1, 31))
+        directed = bool(i % 2)
+        pairs = [(a, b) for a in range(nv) for b in range(nv) if a != b and (directed or a < b)]
+        keep = rng.random(len(pairs)) < float(rng.uniform(0.0, 3.0)) / nv
+        edges = [p for p, k in zip(pairs, keep) if k]
+        src = int(rng.integers(nv))
+        dst = src if i % 4 < 2 else int(rng.integers(nv))
+        streams.append(cb.GraphStream(nv, directed, src, dst, 0, edges))
+    return streams
+
+
+def test_distance_and_reachability_match_the_replaced_traversals():
+    streams = [s for triple in sampled_gadgets() for s in triple] + random_graphs()
+    for s in streams:
+        assert cb.oracle_distance(s) == _ref_distance(s)
+        assert cb.oracle_reachable(s) == _ref_reachable(s)
+    # both answers, both directions and src == dst all occur
+    assert {_ref_reachable(s) for s in streams} == {0, 1}
+    assert {s.directed for s in streams} == {False, True}
+    assert any(s.src == s.dst for s in streams)
+
+
+def test_two_color_matches_the_replaced_coloring_on_undirected_streams():
+    streams = [s for triple in sampled_gadgets() for s in triple] + random_graphs()
+    # depths on a 300-vertex path pass 127, where an int8 depth overflows
+    streams.append(_stream(300, False, [(x, x + 1) for x in range(299)]))
+    undirected = [s for s in streams if not s.directed]
+    outcomes = [_coloring(cb.two_color, s) for s in undirected]
+    assert outcomes == [_coloring(_ref_two_color, s) for s in undirected]
+    # proper colorings and the not-bipartite error both occur
+    assert "graph is not bipartite" in outcomes
+    assert any(isinstance(c, list) for c in outcomes)

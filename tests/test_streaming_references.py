@@ -2,9 +2,11 @@
 
 Each reference class keeps one baseline's former begin_pass / observe_edge /
 end_pass methods and inherits init and the state encoding, which did not
-change.  run_per_edge is the former harness loop.  Every comparison asserts
-the same (answer, passes_used, max_state_bits) and the same final state
-bytes as run_streaming gives the current algorithm.
+change; the union-find reference also keeps its former parent pointers,
+_find and canonicalizing serializer.  run_per_edge is the former harness
+loop.  Every comparison asserts the same (answer, passes_used,
+max_state_bits) and the same final state bytes as run_streaming gives the
+current algorithm.
 """
 from functools import lru_cache
 
@@ -13,6 +15,7 @@ import pytest
 
 import chasebench as cb
 from chasebench import streaming
+from chasebench.util import pack_uints, unpack_uints
 
 
 class _RefBidirectionalBfs(streaming._BidirectionalBfs):
@@ -67,6 +70,32 @@ class _RefForwardBfs(streaming._ForwardBfs):
 
 
 class _RefUnionFind(streaming._UnionFind):
+    def init(self, meta):
+        if meta.directed:
+            raise ValueError("union-find decides undirected connectivity only")
+        self.n = meta.nv
+        self.src = meta.src
+        self.dst = meta.dst
+        self.width = max(1, (self.n - 1).bit_length())
+        self.parent = list(range(self.n))
+        if meta.src == meta.dst:
+            return 1
+        return None
+
+    def _find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def serialize_state(self):
+        roots = [self._find(x) for x in range(self.n)]
+        return pack_uints(roots, self.width)
+
+    def restore_state(self, blob):
+        self.parent = [int(x) for x in unpack_uints(blob, self.width, self.n)]
+
     def begin_pass(self):
         pass
 
@@ -238,6 +267,24 @@ def test_a_k400_instance_matches_the_per_edge_reference():
     assert min(s.ne for s in streams) > 25000
     for name in REFERENCES:
         assert mismatches(name, streams) == 0
+
+
+def _restored_pass(alg):
+    """Answer and state after one edgeless pass from a restored state that
+    already joins vertex 3 to vertex 0."""
+    alg.init(cb.StreamMeta(4, False, 0, 3, 0))
+    alg.restore_state(pack_uints([0, 1, 2, 0], 2))
+    if isinstance(alg, _RefUnionFind):
+        alg.begin_pass()
+        answer = alg.end_pass()
+    else:
+        answer = alg.run_pass(np.zeros((0, 2), dtype=np.int64))
+    return answer, alg.serialize_state().hex()
+
+
+def test_union_find_honors_a_restored_state():
+    assert _restored_pass(cb.alg_union_find()) == (1, "18")
+    assert _restored_pass(_RefUnionFind()) == (1, "18")
 
 
 def _reached_without_back_edge(frontier, edges, directed):
