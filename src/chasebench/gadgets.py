@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import StreamFormatError
 from .games import IntersectScInstance
-from .util import FrozenRecord, frozen_copy
+from .util import FrozenRecord, frozen_copy, scan_canonical_rows
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -311,13 +311,13 @@ def parse_stream(text: str) -> GraphStream:
     """Inverse of serialize_stream, with line-numbered diagnostics.
 
     Canonical text, exactly what serialize_stream writes, takes a fast path:
-    the body is tokenized by one np.fromstring call, and the stream is
-    accepted only if it serializes back to the input.  Any other text, valid
-    or not, goes to the line parser, so that parser alone writes diagnostics
-    and non-canonical spellings (extra blanks, leading zeros, '+1', tabs,
-    CRLF line ends, no final newline) parse as before.  A header that is not
-    in canonical form, a tab or CR anywhere, or no final newline sends the
-    text there before any bulk work.
+    a header equal to its canonical rendering, then `ne` edge lines that
+    scan_canonical_rows accepts with exactly two tokens each, tokenized in
+    bulk.  Any other text, valid or not, goes to the line parser, so that
+    parser alone writes diagnostics and non-canonical spellings (extra
+    blanks, leading zeros, '+1', tabs, CRLF line ends, no final newline)
+    parse as before.  So does canonical text whose stream GraphStream
+    refuses.
     """
     header, _, body = text.partition("\n")
     try:
@@ -326,22 +326,13 @@ def parse_stream(text: str) -> GraphStream:
     except ValueError:
         return _parse_stream_lines(text)
     canonical_header = f"graphstream v1 {kind} nv={nv} ne={ne} src={src} dst={dst} p={p}"
-    if header != canonical_header or "\r" in body or "\t" in body or not text.endswith("\n"):
-        return _parse_stream_lines(text)
-    try:
-        # A read sized from the header allocates once; an unsized one regrows
-        # its buffer and fragments the heap.  A canonical edge line has at
-        # least 4 characters, which bounds a huge ne (a negative count reads
-        # all).  A bad token raises ValueError; a short or out-of-int64 read
-        # pads or saturates, which the round-trip check below rejects.
-        count = 2 * min(ne, len(body) // 4)
-        flat = np.fromstring(body, dtype=np.int64, count=count, sep=" ")
-        stream = GraphStream(nv, kind == "directed", src, dst, p, flat.reshape(-1, 2))
-    except (ValueError, OverflowError):
-        pass
-    else:
-        if serialize_stream(stream) == text:
-            return stream
+    if header == canonical_header and kind in ("directed", "undirected"):
+        rows = scan_canonical_rows(body, ne, width=2)
+        if rows is not None:
+            try:
+                return GraphStream(nv, kind == "directed", src, dst, p, rows[0].reshape(-1, 2))
+            except ValueError:
+                pass
     return _parse_stream_lines(text)
 
 

@@ -27,6 +27,7 @@ from .games import (
     ScInstance,
     SetFunctionTable,
 )
+from .util import scan_canonical_rows
 
 __all__ = ["serialize_game", "parse_game"]
 
@@ -46,22 +47,26 @@ def _format_set_table(f: SetFunctionTable) -> list[str]:
     return lines
 
 
+def _format_header(kind: str, **sizes: int) -> str:
+    return f"{_HEADER_PREFIX} kind={kind}" + "".join(f" {key}={value}" for key, value in sizes.items())
+
+
 def serialize_game(inst) -> str:
     """Render any game instance as scgame v1 text (trailing newline included)."""
     if isinstance(inst, PcInstance):
-        head = f"{_HEADER_PREFIX} kind=pc n={inst.n} p={inst.p}"
+        head = _format_header("pc", n=inst.n, p=inst.p)
         tables = [_format_function_table(f) for f in inst.funcs]
     elif isinstance(inst, ScInstance):
-        head = f"{_HEADER_PREFIX} kind=sc n={inst.n} p={inst.p}"
+        head = _format_header("sc", n=inst.n, p=inst.p)
         tables = [_format_set_table(f) for f in inst.funcs]
     elif isinstance(inst, LpceInstance):
-        head = f"{_HEADER_PREFIX} kind=lpce n={inst.n} p={inst.p} r={inst.r}"
+        head = _format_header("lpce", n=inst.n, p=inst.p, r=inst.r)
         tables = [_format_function_table(f) for f in inst.tables()]
     elif isinstance(inst, OrLpceInstance):
-        head = f"{_HEADER_PREFIX} kind=orlpce n={inst.n} p={inst.p} r={inst.r} t={inst.t}"
+        head = _format_header("orlpce", n=inst.n, p=inst.p, r=inst.r, t=inst.t)
         tables = [_format_function_table(f) for item in inst.items for f in item.tables()]
     elif isinstance(inst, IntersectScInstance):
-        head = f"{_HEADER_PREFIX} kind=intersectsc n={inst.n} p={inst.p}"
+        head = _format_header("intersectsc", n=inst.n, p=inst.p)
         tables = [_format_set_table(f) for f in inst.left.funcs + inst.right.funcs]
     else:
         raise TypeError(f"cannot serialize {type(inst).__name__}")
@@ -152,8 +157,98 @@ def _parse_tables(lines, end: int, n: int, count: int, set_valued: bool):
     return tables
 
 
+# kind -> (header sizes after n and p, tables per chase layer, set-valued tables)
+_KINDS = {
+    "pc": ((), 1, False),
+    "sc": ((), 1, True),
+    "lpce": (("r",), 2, False),
+    "orlpce": (("r", "t"), 2, False),
+    "intersectsc": ((), 2, True),
+}
+
+
+def _assemble(kind: str, n: int, p: int, fields: dict, funcs):
+    """The instance of a known kind whose tables, in file order, are funcs."""
+    def lpce(funcs) -> LpceInstance:
+        return LpceInstance(PcInstance(n, p, funcs[:p]), PcInstance(n, p, funcs[p:]), fields["r"])
+
+    if kind == "pc":
+        return PcInstance(n, p, funcs)
+    if kind == "sc":
+        return ScInstance(n, p, funcs)
+    if kind == "lpce":
+        return lpce(funcs)
+    if kind == "orlpce":
+        t = fields["t"]
+        return OrLpceInstance(t, tuple(lpce(funcs[j * 2 * p:(j + 1) * 2 * p]) for j in range(t)))
+    return IntersectScInstance(ScInstance(n, p, funcs[:p]), ScInstance(n, p, funcs[p:]))
+
+
 def parse_game(text: str):
-    """Parse scgame v1 text into the matching instance type."""
+    """Parse scgame v1 text into the matching instance type.
+
+    Canonical text, exactly what serialize_game writes, takes a fast path:
+    a header equal to its canonical rendering, then one `table j` line per
+    table, with its n rows labelled 0..n-1 that scan_canonical_rows accepts,
+    tokenized in bulk.  Any other text, valid or not, goes to the line
+    parser, so that parser alone writes diagnostics and non-canonical
+    spellings (blank lines, extra blanks, leading zeros, '+1', tabs, CRLF
+    line ends, no final newline) parse as before.  So does canonical text
+    whose tables FunctionTable or SetFunctionTable refuses.
+    """
+    header, _, body = text.partition("\n")
+    try:
+        _, _, kind, *sizes = header.split(" ")
+        kind = kind.partition("=")[2]
+        extra, per_layer, set_valued = _KINDS[kind]
+        fields = {
+            key: int(size.partition("=")[2]) for key, size in zip(("n", "p", *extra), sizes, strict=True)
+        }
+        n, p = fields["n"], fields["p"]
+    except (ValueError, KeyError):
+        return _parse_game_lines(text)
+    if header != _format_header(kind, **fields) or min(fields.values()) < 1:
+        return _parse_game_lines(text)
+    count = per_layer * p * (fields["t"] if kind == "orlpce" else 1)
+    blocks = body.split("table ")
+    if blocks[0] or len(blocks) != count + 1:
+        return _parse_game_lines(text)
+    rows = []
+    for idx, block in enumerate(blocks[1:]):
+        label, _, block_rows = block.partition("\n")
+        # a block not ending in a newline means "table " sat inside a line
+        if label != str(idx) or not block_rows.endswith("\n"):
+            return _parse_game_lines(text)
+        rows.append(block_rows)
+    scan = scan_canonical_rows("".join(rows), n * count, labelled=True,
+                               width=None if set_valued else 2)
+    if scan is None:
+        return _parse_game_lines(text)
+    values, offsets = scan
+    if np.count_nonzero(values[offsets[:-1]].reshape(count, n) != np.arange(n)):
+        return _parse_game_lines(text)
+    try:
+        if set_valued:
+            is_target = np.ones(values.size, dtype=bool)
+            is_target[offsets[:-1]] = False
+            targets = values[is_target]
+            offsets -= np.arange(offsets.size)  # now into targets: one label fewer per row
+            bounds = offsets[::n].tolist()
+            funcs = [
+                SetFunctionTable(n, offsets[j * n:(j + 1) * n + 1] - bounds[j],
+                                 targets[bounds[j]:bounds[j + 1]])
+                for j in range(count)
+            ]
+        else:
+            funcs = [FunctionTable(n, image) for image in values[1::2].reshape(count, n)]
+    except ValueError:
+        return _parse_game_lines(text)
+    return _assemble(kind, n, p, fields, funcs)
+
+
+def _parse_game_lines(text: str):
+    """The line-by-line parser: accepts any whitespace layout and blank
+    lines, and reports the first fault with its line number."""
     raw = text.splitlines()
     if not raw or not raw[0].strip():
         raise GameFormatError("line 1: empty input")
@@ -161,25 +256,10 @@ def parse_game(text: str):
     kind, n, p = fields["kind"], fields["n"], fields["p"]
     body = [(i + 2, line) for i, line in enumerate(raw[1:]) if line.strip()]
     end = len(raw) + 1
-
-    def lpce(funcs) -> LpceInstance:
-        return LpceInstance(PcInstance(n, p, funcs[:p]), PcInstance(n, p, funcs[p:]), fields["r"])
-
-    if kind == "pc":
-        return PcInstance(n, p, _parse_tables(body, end, n, p, set_valued=False))
-    if kind == "sc":
-        return ScInstance(n, p, _parse_tables(body, end, n, p, set_valued=True))
-    if kind == "lpce":
-        if "r" not in fields:
-            raise GameFormatError("line 1: kind=lpce requires r")
-        return lpce(_parse_tables(body, end, n, 2 * p, set_valued=False))
-    if kind == "orlpce":
-        if "r" not in fields or "t" not in fields:
-            raise GameFormatError("line 1: kind=orlpce requires r and t")
-        t = fields["t"]
-        funcs = _parse_tables(body, end, n, 2 * p * t, set_valued=False)
-        return OrLpceInstance(t, tuple(lpce(funcs[j * 2 * p:(j + 1) * 2 * p]) for j in range(t)))
-    if kind == "intersectsc":
-        funcs = _parse_tables(body, end, n, 2 * p, set_valued=True)
-        return IntersectScInstance(ScInstance(n, p, funcs[:p]), ScInstance(n, p, funcs[p:]))
-    raise GameFormatError(f"line 1: unknown kind {fields['kind']!r}")
+    if kind not in _KINDS:
+        raise GameFormatError(f"line 1: unknown kind {kind!r}")
+    extra, per_layer, set_valued = _KINDS[kind]
+    if any(key not in fields for key in extra):
+        raise GameFormatError(f"line 1: kind={kind} requires {' and '.join(extra)}")
+    count = per_layer * p * (fields["t"] if kind == "orlpce" else 1)
+    return _assemble(kind, n, p, fields, _parse_tables(body, end, n, count, set_valued))

@@ -78,6 +78,61 @@ def frozen_copy(values, dtype) -> np.ndarray:
     return arr
 
 
+# _LEAST_FIRST_DIGIT[g] is the least first byte of a token whose separator
+# comes g bytes after the previous one, so that it has g - 1 digits: "0" for
+# one digit, "1" for more, as a longer token must not lead with a zero.  An
+# empty token (g = 1) and one of over 18 digits (g >= 20) get 256, which no
+# byte reaches; 10**18 - 1 < 2**63, so 18 digits always fit int64.
+_LEAST_FIRST_DIGIT = np.array(
+    [256, 256, ord("0")] + [ord("1")] * 17 + [256], dtype=np.int16
+)
+
+
+def scan_canonical_rows(body: str, nlines: int, labelled: bool = False, width: int | None = None):
+    """Tokenize `nlines` canonical rows of unsigned decimals in bulk.
+
+    A canonical row is tokens joined by single spaces and ended by '\\n';
+    a token is 1 to 18 ASCII digits with no leading zero.  When labelled,
+    the first token of each row is followed by ':' (`x: y1 y2`, or `x:`
+    alone).  Given a width, every row must hold exactly that many tokens.
+    Returns (values, offsets) as int64 arrays, where row i holds
+    values[offsets[i]:offsets[i + 1]], or None if the body holds any other
+    text, including a different number of rows.  Nothing is allocated from
+    nlines before the rows are counted.
+    """
+    try:
+        # a leading newline ends a virtual row -1, so every token and row
+        # follows a separator
+        raw = b"\n" + body.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    seps = raw.translate(None, b"0123456789")  # the separators in order
+    if labelled:
+        # every row's first separator is its only ':', and a space or a newline follows it
+        if not (
+            seps.count(b"\n:") == nlines == seps.count(b":")
+            and raw.count(b": ") + raw.count(b":\n") == nlines
+        ):
+            return None
+        # dropping the ':' leaves plain rows; an empty label is now an empty token
+        raw, seps = raw.replace(b":", b""), seps.replace(b":", b"")
+    if not raw.endswith(b"\n") or seps.count(b"\n") != nlines + 1 or seps.translate(None, b" \n"):
+        return None
+    # the rows are counted, so this row pattern is no longer than seps
+    if width is not None and seps[1:] != (b" " * (width - 1) + b"\n") * nlines:
+        return None
+    byte = np.frombuffer(raw, np.uint8)
+    at = (byte < ord("0")).nonzero()[0]  # the separators, each ending a token but the first
+    least = _LEAST_FIRST_DIGIT.take(at[1:] - at[:-1], mode="clip")
+    if np.count_nonzero(byte[at[:-1] + 1] < least):
+        return None
+    values = np.fromstring(raw, dtype=np.int64, count=least.size, sep=" ")
+    if width is not None:  # the row pattern already fixed where rows end
+        return values, np.arange(0, values.size + 1, width)
+    # the k-th newline among the separators follows the first k rows' tokens
+    return values, (np.frombuffer(seps, np.uint8) == ord("\n")).nonzero()[0]
+
+
 class FrozenRecord:
     """Base of the `@dataclass(frozen=True, eq=False)` records that store
     arrays via `frozen_copy`: equal when of the same class with every field

@@ -25,9 +25,15 @@ def fuzz_int(draw, low: int, high: int) -> int:
     return draw(st.sampled_from([low - 1, high + 1, 2**63 - 1, 2**63, -(2**63) - 1]))
 
 
+# characters str.splitlines breaks a line at but str.split("\n") does not,
+# drawn as often as any other character
+LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"
+FUZZ_CHARS = st.one_of(st.characters(), st.sampled_from(LINE_BREAKS))
+
+
 def fuzz_text(draw, value: str) -> str:
     """Mostly value itself; now and then any short text instead."""
-    return value if draw(st.integers(0, 29)) else draw(st.text(max_size=6))
+    return value if draw(st.integers(0, 29)) else draw(st.text(FUZZ_CHARS, max_size=6))
 
 
 def identity_set_table(n: int) -> cb.SetFunctionTable:

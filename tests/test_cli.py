@@ -199,6 +199,17 @@ def test_reduce_sampled_is_deterministic(capsys):
             ("stream-run", "--input", str(GOLDEN / "distance_k4_p1_seed31.gs"), "--alg", "union-find"),
             "768a8805f73853cba5905424121714f32c1b313b4d7e654062bef5e6e635ff26",
         ),
+        # parse_game on a golden game file, then the reverse-order transcript
+        (
+            ("solve-protocol", "--input", str(GOLDEN / "intersectsc_n8_p2_seed20260825.game"),
+             "--alg", "reverse", "--dump"),
+            "53851d68513d91a1763093332cce7c5699e88f9170db1ae8bc9fffadccf708f6",
+        ),
+        # "answer,passes_used,max_state_bits\n1,2,56\n"
+        (
+            ("stream-run", "--input", str(GOLDEN / "reach_k4_p1_seed31.gs"), "--alg", "directed-frontier"),
+            "7bfc9f9b606e68292f35cf64c196f6412cdc1578cf9e4d4dbf19e658eeab6a28",
+        ),
     ],
 )
 def test_reduction_outputs_are_pinned(capsys, argv, digest):

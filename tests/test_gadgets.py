@@ -1,5 +1,6 @@
 """Gadget geometry frozen by hand plus stream format round-trips."""
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +332,11 @@ def test_non_canonical_text_parses_equal_through_the_line_parser(monkeypatch, ed
     assert calls == [text]
 
 
+def _in_body(edit):
+    """Apply edit to the edge lines only, leaving the header canonical."""
+    return lambda t: t[: t.index("\n") + 1] + edit(t[t.index("\n") + 1:])
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -342,15 +348,21 @@ def test_non_canonical_text_parses_equal_through_the_line_parser(monkeypatch, ed
         lambda t: t.replace("\n", "\r\n")[:-2],
         lambda t: t[:-1],
         lambda t: t[:-1] + "\t\n",
+        _in_body(lambda b: b.replace(" ", "  ")),
+        _in_body(lambda b: re.sub(r"(?m)^(\d+)", r"0\1", b)),
+        _in_body(lambda b: re.sub(r"(?m)^(\d+)", r"+\1", b)),
     ],
     ids=[
         "header-leading-zero", "header-double-space", "tabs", "crlf", "header-crlf",
         "crlf-no-final-newline", "no-final-newline", "trailing-tab",
+        "body-double-spaces", "body-leading-zeros", "body-plus-sign",
     ],
 )
 def test_non_canonical_layout_skips_the_bulk_tokenizer(monkeypatch, edit):
     stream = cb.build_distance_gadget(cb.sample_intersect_sc(3, 2, cb.derive_rng(66)))
-    text = edit(cb.serialize_stream(stream))
+    canonical = cb.serialize_stream(stream)
+    text = edit(canonical)
+    assert text != canonical
 
     def refused(*args, **kwargs):
         raise AssertionError("bulk tokenizer ran on non-canonical text")
@@ -360,8 +372,8 @@ def test_non_canonical_layout_skips_the_bulk_tokenizer(monkeypatch, edit):
 
 
 def test_numpy_tokenizer_faults_end_in_the_line_parser_message():
-    # pinned numpy behaviour the fast path relies on: a bad token raises,
-    # an out-of-int64 token saturates (and the round trip then rejects it)
+    # pinned numpy faults the byte scan keeps away from np.fromstring: a bad
+    # token raises, an out-of-int64 token saturates
     with pytest.raises(ValueError):
         np.fromstring("3 x", dtype=np.int64, sep=" ")
     saturated = np.fromstring("99999999999999999999", dtype=np.int64, sep=" ")
@@ -376,6 +388,19 @@ def test_numpy_tokenizer_faults_end_in_the_line_parser_message():
         with pytest.raises(StreamFormatError) as err:
             cb.parse_stream(header + body)
         assert str(err.value) == str(direct.value) == message
+
+
+def test_huge_edge_count_allocates_nothing_from_the_header():
+    text = f"graphstream v1 directed nv=2 ne={10**15} src=0 dst=1 p=0\n0 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamFormatError) as err:
+            cb.parse_stream(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"line 1: header says ne={10**15} but found 1 edge lines"
+    assert peak < 2**20
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Text round-trips and hand-frozen serializations for the game format."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chasebench as cb
-from helpers import fuzz_int, fuzz_text, intersect_instance, set_table
+from chasebench import gameio
+from helpers import FUZZ_CHARS, fuzz_int, fuzz_text, intersect_instance, set_table
 
 GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
 
@@ -196,6 +198,167 @@ def test_parse_game_fuzz_round_trips_or_reports_a_line(text):
         assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
     else:
         assert cb.parse_game(cb.serialize_game(inst)) == inst
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except cb.GameFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_game_texts(), st.text(FUZZ_CHARS, max_size=40)))
+def test_parse_game_fuzz_agrees_with_the_line_parser(text):
+    # whatever the fast path accepts, the line parser accepts as the same
+    # instance; whatever either refuses, both refuse with the same message
+    assert _outcome(cb.parse_game, text) == _outcome(gameio._parse_game_lines, text)
+
+
+def _sampled_games():
+    """Instances of all five kinds in sampled small shapes, single-element
+    ones, and k=400 set-chase and pointer-chase instances."""
+    rng = cb.derive_rng(67)
+    games = [
+        intersect_instance(1, [set_table(1, [[]])], [set_table(1, [[0]])]),
+        cb.sample_uniform_or_lpce(1, 1, 1, 1, rng),
+    ]
+    for _ in range(8):
+        n, p, r = int(rng.integers(1, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        games += [
+            cb.sample_uniform_pc(n, p, rng),
+            cb.sample_intersect_sc(n, p, rng).left,
+            cb.sample_uniform_lpce(n, p, r, rng),
+            cb.sample_uniform_or_lpce(n, p, r, int(rng.integers(1, 4)), rng),
+            cb.sample_intersect_sc(n, p, rng),
+        ]
+    games += [cb.sample_intersect_sc(400, 3, rng, include_prob=0.01), cb.sample_uniform_lpce(400, 3, 4, rng)]
+    return games
+
+
+def _count_line_parses(monkeypatch):
+    calls = []
+    line_parser = gameio._parse_game_lines
+
+    def counted(text):
+        calls.append(text)
+        return line_parser(text)
+
+    monkeypatch.setattr(gameio, "_parse_game_lines", counted)
+    return calls
+
+
+def test_parse_game_fast_path_equals_the_line_parser(monkeypatch):
+    games = _sampled_games()
+    assert {type(inst) for inst in games} == {
+        cb.PcInstance, cb.ScInstance, cb.LpceInstance, cb.OrLpceInstance, cb.IntersectScInstance
+    }
+    texts = [cb.serialize_game(inst) for inst in games]
+    want = [gameio._parse_game_lines(text) for text in texts]
+    calls = _count_line_parses(monkeypatch)
+    for inst, text, expected in zip(games, texts, want):
+        assert cb.parse_game(text) == expected == inst
+    assert calls == []  # canonical text never reaches the line parser
+
+
+# a table of each shape: set rows with zero, one and two targets, function rows
+_EDITED_GAMES = [
+    intersect_instance(3, [set_table(3, [[0, 1], [], [1]])], [set_table(3, [[2], [0, 2], []])]),
+    cb.LpceInstance(
+        cb.PcInstance(3, 1, (cb.FunctionTable(3, np.array([1, 0, 2])),)),
+        cb.PcInstance(3, 1, (cb.FunctionTable(3, np.array([2, 1, 1])),)),
+        2,
+    ),
+]
+
+
+def _in_rows(edit):
+    """Apply edit to the table rows only, leaving the header and the
+    `table j` lines canonical."""
+    return lambda t: re.sub(r"(?m)^\d+:.*$", lambda row: edit(row.group(0)), t)
+
+
+_LAYOUT_EDITS = {
+    "blank-lines": lambda t: t.replace("\ntable", "\n\ntable"),
+    "double-spaces": _in_rows(lambda row: row.replace(" ", "  ")),
+    "leading-zeros": _in_rows(lambda row: re.sub(r"(\d+)", r"0\1", row)),
+    "plus-sign": _in_rows(lambda row: row.replace(" 1", " +1")),
+    "tabs": _in_rows(lambda row: row.replace(" ", "\t")),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "no-final-newline": lambda t: t[:-1],
+    "header-leading-zero": lambda t: t.replace("n=", "n=0", 1),
+    "header-double-space": lambda t: t.replace(" ", "  ", 1),
+    "header-crlf": lambda t: t.replace("\n", "\r\n", 1),
+    "trailing-tab": lambda t: t[:-1] + "\t\n",
+}
+
+
+@pytest.mark.parametrize("inst", _EDITED_GAMES, ids=["set-rows", "function-rows"])
+@pytest.mark.parametrize("edit", _LAYOUT_EDITS.values(), ids=_LAYOUT_EDITS.keys())
+def test_non_canonical_text_parses_equal_through_the_line_parser(monkeypatch, edit, inst):
+    canonical = cb.serialize_game(inst)
+    text = edit(canonical)
+    assert text != canonical
+    calls = _count_line_parses(monkeypatch)
+    assert cb.parse_game(text) == inst
+    assert calls == [text]
+
+
+def test_table_zero_spelled_00_fails_alike_through_the_line_parser(monkeypatch):
+    text = cb.serialize_game(_EDITED_GAMES[0]).replace("table 0\n", "table 00\n")
+    want = _outcome(gameio._parse_game_lines, text)
+    assert want == "line 2: expected 'table 0', got 'table 00'"
+    calls = _count_line_parses(monkeypatch)
+    assert _outcome(cb.parse_game, text) == want
+    assert calls == [text]
+
+
+def test_form_feed_in_the_header_ends_the_header_line():
+    # str.splitlines breaks the line at the form feed, so 'foo=1' is line 2;
+    # a canonical check that splits on '\n' and on whitespace alone would
+    # read one header with a stray token instead
+    text = "scgame v1 kind=pc n=1 p=1\x0cfoo=1\ntable 0\n0: 0\n"
+    with pytest.raises(cb.GameFormatError) as err:
+        cb.parse_game(text)
+    assert str(err.value) == "line 2: expected 'table 0', got 'foo=1'"
+
+
+@pytest.mark.parametrize("inst", _EDITED_GAMES, ids=["set-rows", "function-rows"])
+@pytest.mark.parametrize("edit", _LAYOUT_EDITS.values(), ids=_LAYOUT_EDITS.keys())
+def test_non_canonical_layout_skips_the_bulk_tokenizer(monkeypatch, edit, inst):
+    text = edit(cb.serialize_game(inst))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("bulk tokenizer ran on non-canonical text")
+
+    monkeypatch.setattr(np, "fromstring", refused)
+    assert cb.parse_game(text) == inst
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "scgame v1 kind=sc n=1000000000000 p=1\ntable 0\n0:\n",
+            "line 4: table 0: missing row for element 1",
+        ),
+        (
+            f"scgame v1 kind=sc n=1 p={10**12}\ntable 0\n0:\n",
+            f"line 4: expected {10**12} tables, found 1",
+        ),
+    ],
+    ids=["n", "p"],
+)
+def test_huge_header_counts_allocate_nothing_from_the_header(text, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(cb.GameFormatError) as err:
+            cb.parse_game(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 2**20
 
 
 def test_serialize_rejects_unknown_objects():

@@ -23,7 +23,8 @@ from chasebench.reduction import (
     reduce_or_lpce,
     sample_permutation_family,
 )
-from chasebench.util import bitmap_to_str, derive_rng
+from chasebench.util import bitmap_to_str, derive_rng, scan_canonical_rows
+from helpers import LINE_BREAKS
 
 # ------------------------------------------------------------------ references
 
@@ -57,6 +58,30 @@ def reference_validate_message(bits):
         raise ProtocolError("a scheduled turn must emit a nonempty bit string")
     if any(c not in "01" for c in bits):
         raise ProtocolError(f"message must contain only 0/1, got {bits!r}")
+
+
+def reference_scan_rows(body, nlines, labelled, width):
+    """Rows parsed with int() and accepted only if they render back to the
+    body: the round-trip rule the byte scanner replaced."""
+    lines = body.split("\n")
+    if lines.pop() != "" or len(lines) != nlines:
+        return None
+    values, offsets = [], [0]
+    for line in lines:
+        try:
+            row = [int(token) for token in (line.replace(":", "", 1) if labelled else line).split(" ")]
+        except ValueError:
+            return None
+        rendered = " ".join(map(str, row))
+        if labelled:
+            rendered = rendered.replace(" ", ": ", 1) if len(row) > 1 else rendered + ":"
+        if rendered != line or min(row) < 0 or max(row) >= 10**18:
+            return None
+        if width is not None and len(row) != width:
+            return None
+        values += row
+        offsets.append(len(values))
+    return np.array(values, dtype=np.int64), np.array(offsets, dtype=np.int64)
 
 
 def current_set_table_error(n, offsets, values):
@@ -113,6 +138,70 @@ def test_row_check_matches_on_arbitrary_offsets(n, offsets, values):
     assert current_set_table_error(n, offsets, values) == reference_set_table_error(
         n, offsets, values
     )
+
+
+# ------------------------------------------------------- canonical row scanner
+
+
+@st.composite
+def row_bodies(draw):
+    """(body, nlines, labelled, width): canonical rows, now and then with a
+    few characters inserted, replaced or deleted, or the wrong line count."""
+    labelled = draw(st.booleans())
+    token = st.one_of(st.integers(0, 99), st.sampled_from([10**17, 10**18 - 1, 10**18, 2**63]))
+    rows = draw(st.lists(st.lists(token, min_size=1, max_size=4), max_size=5))
+    lines = [" ".join(map(str, row)) for row in rows]
+    if labelled:
+        lines = [line.replace(" ", ": ", 1) if " " in line else line + ":" for line in lines]
+    chars = list("".join(line + "\n" for line in lines))
+    noise = st.sampled_from(list("0123456789 :\n+-_\t٣") + list(LINE_BREAKS))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(chars)))
+        edit = draw(st.integers(0, 2))
+        if edit == 0:
+            chars.insert(at, draw(noise))
+        elif at < len(chars):
+            if edit == 1:
+                chars[at] = draw(noise)
+            else:
+                del chars[at]
+    nlines = len(rows) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    width = draw(st.sampled_from([None, None, 1, 2, 3]))
+    return "".join(chars), nlines, labelled, width
+
+
+@settings(max_examples=600, deadline=None)
+@given(row_bodies())
+@example(("", 0, False, None))  # no rows
+@example(("", 0, True, 2))
+@example(("0\n", 0, False, None))  # more rows than asked for
+@example(("1 2\n", 2, False, None))  # fewer
+@example(("1 2", 1, False, None))  # no final newline
+@example(("01 2\n", 1, False, None))  # leading zero
+@example(("0 0\n", 1, False, 2))  # zeros alone are canonical
+@example(("999999999999999999 1\n", 1, False, 2))  # 18 digits
+@example(("1000000000000000000 1\n", 1, False, 2))  # 19 digits
+@example(("1  2\n", 1, False, None))  # empty token
+@example(("1 2 \n", 1, False, None))
+@example(("\n", 1, False, None))  # empty row
+@example(("0:\n1: 0 1\n", 2, True, None))
+@example(("0: 1\n1:\n", 2, True, 2))  # width refused
+@example((":\n", 1, True, None))  # empty label
+@example(("0:1\n", 1, True, None))  # no space after the label
+@example(("0 1:\n", 1, True, None))  # ':' after the second token
+@example(("0::\n", 1, True, None))
+@example(("0: 1\x0c\n", 1, True, None))
+@example(("0 1\n", 1, True, None))  # no label
+@example(("0: 1\n", 1, False, None))  # a label where none belongs
+def test_scan_canonical_rows_matches_the_round_trip_rule(case):
+    want = reference_scan_rows(*case)
+    got = scan_canonical_rows(*case)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[0].dtype == got[1].dtype == np.int64
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
 
 # -------------------------------------------------------------- bitmap_to_str
