@@ -216,8 +216,9 @@ def parse_game(text: str):
     rows = []
     for idx, block in enumerate(blocks[1:]):
         label, _, block_rows = block.partition("\n")
-        # a block not ending in a newline means "table " sat inside a line
-        if label != str(idx) or not block_rows.endswith("\n"):
+        # each table holds exactly its n rows; a block not ending in a
+        # newline means "table " sat inside a line
+        if label != str(idx) or block_rows.count("\n") != n or not block_rows.endswith("\n"):
             return _parse_game_lines(text)
         rows.append(block_rows)
     scan = scan_canonical_rows("".join(rows), n * count, labelled=True,

@@ -176,7 +176,9 @@ def _game_texts(draw):
     lines = [" ".join(fuzz_text(draw, token) for token in tokens)]
     rows = min(max(n, 1), 3)
     tables = _TABLES_PER_LAYER[kind] * min(max(p, 1), 2) * (min(max(t, 1), 2) if kind == "orlpce" else 1)
+    table_lines = []
     for idx in range(tables):
+        table_lines.append(len(lines))
         lines.append(fuzz_text(draw, f"table {idx}"))
         for x in range(rows):
             if kind in ("sc", "intersectsc"):
@@ -184,6 +186,11 @@ def _game_texts(draw):
             else:
                 targets = [fuzz_int(draw, 0, rows - 1)]
             lines.append(fuzz_text(draw, f"{x}:" + "".join(f" {y}" for y in targets)))
+    if len(table_lines) > 1 and not draw(st.integers(0, 3)):
+        # move a `table j` line up one place: a row of table j-1 joins table
+        # j, while the row labels still read 0..n-1 over and over
+        at = draw(st.sampled_from(table_lines[1:]))
+        lines[at - 1], lines[at] = lines[at], lines[at - 1]
     if not draw(st.integers(0, 7)):
         lines = lines[: draw(st.integers(1, len(lines)))]
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
@@ -299,6 +306,11 @@ def test_non_canonical_text_parses_equal_through_the_line_parser(monkeypatch, ed
     canonical = cb.serialize_game(inst)
     text = edit(canonical)
     assert text != canonical
+
+    def refused(*args, **kwargs):
+        raise AssertionError("bulk tokenizer ran on non-canonical text")
+
+    monkeypatch.setattr(np, "fromstring", refused)
     calls = _count_line_parses(monkeypatch)
     assert cb.parse_game(text) == inst
     assert calls == [text]
@@ -313,6 +325,29 @@ def test_table_zero_spelled_00_fails_alike_through_the_line_parser(monkeypatch):
     assert calls == [text]
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "scgame v1 kind=pc n=2 p=2\ntable 0\n0: 1\n1: 0\n0: 1\ntable 1\n1: 0\n",
+            "line 5: expected 'table 1', got '0: 1'",
+        ),
+        (
+            "scgame v1 kind=sc n=2 p=2\ntable 0\n0: 1\n1: 0\n0:\ntable 1\n1: 0 1\n",
+            "line 5: expected 'table 1', got '0:'",
+        ),
+    ],
+    ids=["function-rows", "set-rows"],
+)
+def test_row_moved_between_tables_fails_alike_through_the_line_parser(monkeypatch, text, message):
+    # the labels still read 0, 1, 0, 1 and the row total is n * tables,
+    # but one table holds three rows and the other one
+    assert _outcome(gameio._parse_game_lines, text) == message
+    calls = _count_line_parses(monkeypatch)
+    assert _outcome(cb.parse_game, text) == message
+    assert calls == [text]
+
+
 def test_form_feed_in_the_header_ends_the_header_line():
     # str.splitlines breaks the line at the form feed, so 'foo=1' is line 2;
     # a canonical check that splits on '\n' and on whitespace alone would
@@ -321,18 +356,6 @@ def test_form_feed_in_the_header_ends_the_header_line():
     with pytest.raises(cb.GameFormatError) as err:
         cb.parse_game(text)
     assert str(err.value) == "line 2: expected 'table 0', got 'foo=1'"
-
-
-@pytest.mark.parametrize("inst", _EDITED_GAMES, ids=["set-rows", "function-rows"])
-@pytest.mark.parametrize("edit", _LAYOUT_EDITS.values(), ids=_LAYOUT_EDITS.keys())
-def test_non_canonical_layout_skips_the_bulk_tokenizer(monkeypatch, edit, inst):
-    text = edit(cb.serialize_game(inst))
-
-    def refused(*args, **kwargs):
-        raise AssertionError("bulk tokenizer ran on non-canonical text")
-
-    monkeypatch.setattr(np, "fromstring", refused)
-    assert cb.parse_game(text) == inst
 
 
 @pytest.mark.parametrize(
