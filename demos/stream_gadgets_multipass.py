@@ -5,7 +5,7 @@ Graph gadgets and multipass streaming
 A set-chase intersection instance compiles into three graph gadgets:
 a layered path graph where the answer controls whether dist(u, v) is
 2(p+1) or larger, a directed copy for reachability, and a bipartite
-gadget whose perfect matching exists iff the answer is 0.  Edge streams
+gadget whose perfect matching exists iff the answer is 1.  Edge streams
 are then fed to one-pass and multipass algorithms whose pass counts
 depend on the arrival order the gadget fixes.
 """

@@ -285,13 +285,14 @@ def reverse_stream(stream: GraphStream) -> GraphStream:
     )
 
 
+def _format_header(kind: str, nv: int, ne: int, src: int, dst: int, p: int) -> str:
+    return f"graphstream v1 {kind} nv={nv} ne={ne} src={src} dst={dst} p={p}"
+
+
 def serialize_stream(stream: GraphStream) -> str:
     kind = "directed" if stream.directed else "undirected"
-    header = (
-        f"graphstream v1 {kind} nv={stream.nv} ne={stream.ne} "
-        f"src={stream.src} dst={stream.dst} p={stream.p}\n"
-    )
-    return header + "%d %d\n" * stream.ne % tuple(stream.edges.ravel().tolist())
+    header = _format_header(kind, stream.nv, stream.ne, stream.src, stream.dst, stream.p)
+    return header + "\n" + "%d %d\n" * stream.ne % tuple(stream.edges.ravel().tolist())
 
 
 def _header_int(token: str, key: str, lineno: int) -> int:
@@ -325,8 +326,7 @@ def parse_stream(text: str) -> GraphStream:
         nv, ne, src, dst, p = (int(field.partition("=")[2]) for field in fields)
     except ValueError:
         return _parse_stream_lines(text)
-    canonical_header = f"graphstream v1 {kind} nv={nv} ne={ne} src={src} dst={dst} p={p}"
-    if header == canonical_header and kind in ("directed", "undirected"):
+    if header == _format_header(kind, nv, ne, src, dst, p) and kind in ("directed", "undirected"):
         rows = scan_canonical_rows(body, ne, width=2)
         if rows is not None:
             try:

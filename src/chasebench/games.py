@@ -98,7 +98,7 @@ class SetFunctionTable(FrozenRecord):
         values = frozen_copy(self.values, np.int64)
         if offsets.shape != (self.n + 1,) or offsets[0] != 0:
             raise ValueError("offsets must have shape (n+1,) and start at 0")
-        if np.any(np.diff(offsets) < 0) or offsets[-1] != values.size:
+        if np.count_nonzero(offsets[1:] < offsets[:-1]) or offsets[-1] != values.size:
             raise ValueError("offsets must be nondecreasing and end at len(values)")
         if values.size and (values.min() < 0 or values.max() >= self.n):
             raise ValueError("image values must lie in [0, n)")

@@ -134,88 +134,41 @@ def _reached(frontier: np.ndarray, edges: np.ndarray, directed: bool) -> np.ndar
     return out
 
 
-class _BidirectionalBfs(StreamingAlgorithm):
-    """Decides dist(src, dst) <= D by growing one BFS level per pass from
-    both endpoints simultaneously.
+class _LevelBfs(StreamingAlgorithm):
+    """Decides dist(src, dst) <= D by growing one BFS level per pass, from
+    src alone (forward-bfs) or from both endpoints at once (bidir-bfs).
 
-    Frontiers are frozen at the start of each pass, so after pass i the two
-    visited balls have radius exactly i and they intersect iff the distance
-    is at most 2i.  The run therefore needs exactly ceil(D/2) passes unless
-    the endpoints are closer than D or one ball stops growing (answer 0:
-    separate components never meet).
+    Each ball keeps a visited mask and a frontier mask; ball 0 grows from
+    src and ball 1, when there is one, from dst.  Frontiers are frozen when
+    a pass begins, so after pass i each ball has radius exactly i,
+    independent of edge arrival order.  The forward ball holds dst iff the
+    distance is at most i, so a distance-D target costs D passes; two balls
+    meet iff it is at most 2i, so the two-sided run needs ceil(D/2) passes.
+    A ball that stops growing proves the answer 0: separate components
+    never meet.
     """
 
-    name = "bidir-bfs"
-
-    def __init__(self, distance_bound: int):
-        if distance_bound < 0 or distance_bound % 2 != 0:
-            # level-synchronized growth decides even thresholds only
+    def __init__(self, distance_bound: int, bidirectional: bool):
+        if bidirectional and (distance_bound < 0 or distance_bound % 2 != 0):
+            # level-synchronized growth from both ends decides even thresholds only
             raise ValueError("distance bound must be even and non-negative")
-        self.bound = distance_bound
-
-    def init(self, meta: StreamMeta) -> Optional[int]:
-        if meta.directed:
-            raise ValueError("bidirectional search needs an undirected stream")
-        self.n = meta.nv
-        self.level = 0
-        self.vis_s = np.zeros(self.n, dtype=bool)
-        self.vis_t = np.zeros(self.n, dtype=bool)
-        self.vis_s[meta.src] = True
-        self.vis_t[meta.dst] = True
-        self.fr_s = self.vis_s.copy()
-        self.fr_t = self.vis_t.copy()
-        if meta.src == meta.dst:
-            return 1
-        if self.bound == 0:
-            return 0
-        return None
-
-    def run_pass(self, edges: np.ndarray) -> Optional[int]:
-        self.level += 1
-        self.fr_s = _reached(self.fr_s, edges, False) & ~self.vis_s
-        self.fr_t = _reached(self.fr_t, edges, False) & ~self.vis_t
-        self.vis_s |= self.fr_s
-        self.vis_t |= self.fr_t
-        if (self.vis_s & self.vis_t).any():
-            return 1
-        if 2 * self.level >= self.bound:
-            return 0
-        if not self.fr_s.any() or not self.fr_t.any():
-            return 0
-        return None
-
-    def serialize_state(self) -> bytes:
-        return _pack_masks(self.level, self.vis_s, self.vis_t, self.fr_s, self.fr_t)
-
-    def restore_state(self, blob: bytes) -> None:
-        self.level, masks = _unpack_masks(blob, self.n, 4)
-        self.vis_s, self.vis_t, self.fr_s, self.fr_t = masks
-
-
-class _ForwardBfs(StreamingAlgorithm):
-    """Decides dist(src, dst) <= D by one single-source BFS level per pass.
-
-    The frontier is frozen when a pass begins; edges leaving it mark the
-    next level, which starts expanding only in the following pass.  Pass i
-    therefore discovers exactly the vertices at distance i, independent of
-    edge arrival order, so a distance-D target costs D passes.
-    """
-
-    name = "forward-bfs"
-
-    def __init__(self, distance_bound: int):
         if distance_bound < 0:
             raise ValueError("distance bound must be non-negative")
         self.bound = distance_bound
+        self.balls = 2 if bidirectional else 1
+        self.name = "bidir-bfs" if bidirectional else "forward-bfs"
 
     def init(self, meta: StreamMeta) -> Optional[int]:
+        if meta.directed and self.balls == 2:
+            raise ValueError("bidirectional search needs an undirected stream")
         self.n = meta.nv
         self.dst = meta.dst
         self.directed = meta.directed
         self.level = 0
-        self.vis = np.zeros(self.n, dtype=bool)
-        self.vis[meta.src] = True
-        self.fr = self.vis.copy()
+        self.visited = [np.zeros(self.n, dtype=bool) for _ in range(self.balls)]
+        for vis, seed in zip(self.visited, (meta.src, meta.dst)):
+            vis[seed] = True
+        self.frontier = [vis.copy() for vis in self.visited]
         if meta.src == meta.dst:
             return 1
         if self.bound == 0:
@@ -224,20 +177,23 @@ class _ForwardBfs(StreamingAlgorithm):
 
     def run_pass(self, edges: np.ndarray) -> Optional[int]:
         self.level += 1
-        self.fr = _reached(self.fr, edges, self.directed) & ~self.vis
-        self.vis |= self.fr
-        if self.vis[self.dst]:
+        self.frontier = [
+            _reached(fr, edges, self.directed) & ~vis for fr, vis in zip(self.frontier, self.visited)
+        ]
+        for vis, fr in zip(self.visited, self.frontier):
+            vis |= fr
+        if self.visited[0][self.dst] or (self.balls == 2 and (self.visited[0] & self.visited[1]).any()):
             return 1
-        if self.level >= self.bound or not self.fr.any():
+        if self.balls * self.level >= self.bound or not all(fr.any() for fr in self.frontier):
             return 0
         return None
 
     def serialize_state(self) -> bytes:
-        return _pack_masks(self.level, self.vis, self.fr)
+        return _pack_masks(self.level, *self.visited, *self.frontier)
 
     def restore_state(self, blob: bytes) -> None:
-        self.level, masks = _unpack_masks(blob, self.n, 2)
-        self.vis, self.fr = masks
+        self.level, masks = _unpack_masks(blob, self.n, 2 * self.balls)
+        self.visited, self.frontier = masks[:self.balls], masks[self.balls:]
 
 
 class _UnionFind(StreamingAlgorithm):
@@ -327,16 +283,16 @@ class _DirectedFrontier(StreamingAlgorithm):
 
 def alg_bidirectional_bfs(distance_bound: int) -> StreamingAlgorithm:
     """Two-sided level-per-pass search deciding dist <= distance_bound."""
-    return _BidirectionalBfs(distance_bound)
+    return _LevelBfs(distance_bound, bidirectional=True)
 
 
 def alg_forward_bfs(distance_bound: int) -> StreamingAlgorithm:
     """Single-source level-per-pass search deciding dist <= distance_bound."""
-    return _ForwardBfs(distance_bound)
+    return _LevelBfs(distance_bound, bidirectional=False)
 
 
 def alg_union_find() -> StreamingAlgorithm:
-    """One-pass undirected connectivity with packed parent-array state."""
+    """One-pass undirected connectivity; the state is each vertex's component root."""
     return _UnionFind()
 
 

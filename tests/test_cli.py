@@ -210,6 +210,26 @@ def test_reduce_sampled_is_deterministic(capsys):
             ("stream-run", "--input", str(GOLDEN / "reach_k4_p1_seed31.gs"), "--alg", "directed-frontier"),
             "7bfc9f9b606e68292f35cf64c196f6412cdc1578cf9e4d4dbf19e658eeab6a28",
         ),
+        # "answer,passes_used,max_state_bits\n1,2,128\n"
+        (
+            ("stream-run", "--input", str(GOLDEN / "distance_k4_p1_seed31.gs"), "--alg", "bidir-bfs"),
+            "5f4e2ea187b38692152dbaf06310ef77fd86558114e9a412b92ebf6137d1673f",
+        ),
+        # "answer,passes_used,max_state_bits\n1,4,80\n"
+        (
+            ("stream-run", "--input", str(GOLDEN / "distance_k4_p1_seed31.gs"), "--alg", "forward-bfs"),
+            "3da6f3b21d9df56917ac5e44110574fbe957233cae1018b211b0a6d0f6800c90",
+        ),
+        # a directed stream, also "1,4,80"
+        (
+            ("stream-run", "--input", str(GOLDEN / "reach_k4_p1_seed31.gs"), "--alg", "forward-bfs"),
+            "3da6f3b21d9df56917ac5e44110574fbe957233cae1018b211b0a6d0f6800c90",
+        ),
+        # "answer,passes_used,max_state_bits\n0,2,192\n"
+        (
+            ("stream-run", "--input", str(GOLDEN / "matching_k4_p1_seed31.gs"), "--alg", "bidir-bfs"),
+            "547a3b5cb6d7de180bf75c18a0a906c0d21085e33608199772ee6eed77aa0e5d",
+        ),
     ],
 )
 def test_reduction_outputs_are_pinned(capsys, argv, digest):

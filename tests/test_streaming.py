@@ -18,6 +18,9 @@ def _connectivity_stream(seed, nv=24, density=0.12):
 
 def test_algorithm_registry_names():
     assert set(cb.ALGORITHMS) == {"bidir-bfs", "forward-bfs", "union-find", "directed-frontier"}
+    for name, factory in cb.ALGORITHMS.items():
+        alg = factory(2) if name.endswith("bfs") else factory()
+        assert alg.name == name
 
 
 def test_pass_counts_on_the_identity_gadgets():
@@ -123,24 +126,31 @@ def test_zero_distance_bound_answers_at_init():
 
 
 def test_bidirectional_bound_must_be_even():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^distance bound must be even and non-negative$"):
         cb.alg_bidirectional_bfs(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^distance bound must be even and non-negative$"):
         cb.alg_bidirectional_bfs(-2)
 
 
-def test_state_survives_serialize_restore_between_passes():
+def test_forward_bound_must_be_non_negative():
+    with pytest.raises(ValueError, match="^distance bound must be non-negative$"):
+        cb.alg_forward_bfs(-1)
+    assert cb.alg_forward_bfs(3).bound == 3
+
+
+@pytest.mark.parametrize("name, want_passes", [("forward-bfs", 4), ("bidir-bfs", 2)])
+def test_state_survives_serialize_restore_between_passes(name, want_passes):
     # drive the algorithm by hand, moving state to a fresh instance mid-run
     d = cb.build_distance_gadget(identity_instance(4, 2))
     bound = 2 * (d.p + 1)
     meta = cb.StreamMeta.of(d)
 
-    first = cb.alg_forward_bfs(bound)
+    first = cb.ALGORITHMS[name](bound)
     assert first.init(meta) is None
     assert first.run_pass(d.edges) is None
     blob = first.serialize_state()
 
-    second = cb.alg_forward_bfs(bound)
+    second = cb.ALGORITHMS[name](bound)
     second.init(meta)
     second.restore_state(blob)
     answer = None
@@ -149,7 +159,34 @@ def test_state_survives_serialize_restore_between_passes():
         answer = second.run_pass(d.edges)
         passes += 1
     assert answer == 1
-    assert passes == 4
+    assert passes == want_passes
+
+
+@pytest.mark.parametrize("name, want", [
+    ("bidir-bfs", [
+        "00000000800000000080800000000080",
+        "01000000880000000880080000000800",
+        "02000000888000008880008000008000",
+    ]),
+    ("forward-bfs", [
+        "00000000800000800000",
+        "01000000880000080000",
+        "02000000888000008000",
+        "03000000888800000800",
+        "04000000888880000080",
+    ]),
+])
+def test_bfs_state_bytes_are_pinned(name, want):
+    # level, then each ball's visited mask, then each ball's frontier mask
+    d = cb.build_distance_gadget(identity_instance(4, 2))
+    alg = cb.ALGORITHMS[name](4)
+    answer = alg.init(cb.StreamMeta.of(d))
+    states = [alg.serialize_state().hex()]
+    while answer is None:
+        answer = alg.run_pass(d.edges)
+        states.append(alg.serialize_state().hex())
+    assert answer == 1
+    assert states == want
 
 
 def test_run_report_state_bits_are_checkpoint_sizes():

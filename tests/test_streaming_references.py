@@ -1,12 +1,13 @@
 """Whole-pass baselines against the per-edge code they replaced.
 
 Each reference class keeps one baseline's former begin_pass / observe_edge /
-end_pass methods and inherits init and the state encoding, which did not
-change; the union-find reference also keeps its former parent pointers,
-_find and canonicalizing serializer.  run_per_edge is the former harness
-loop.  Every comparison asserts the same (answer, passes_used,
-max_state_bits) and the same final state bytes as run_streaming gives the
-current algorithm.
+end_pass methods, with its former stop rules written out, and inherits init
+and the state encoding, which did not change.  The two BFS references
+subclass the one level-per-pass class and never call its run_pass.  The
+union-find reference also keeps its former parent pointers, _find and
+canonicalizing serializer.  run_per_edge is the former harness loop.  Every
+comparison asserts the same (answer, passes_used, max_state_bits) and the
+same final state bytes as run_streaming gives the current algorithm.
 """
 from functools import lru_cache
 
@@ -18,53 +19,65 @@ from chasebench import streaming
 from chasebench.util import pack_uints, unpack_uints
 
 
-class _RefBidirectionalBfs(streaming._BidirectionalBfs):
+class _RefBidirectionalBfs(streaming._LevelBfs):
+    def __init__(self, distance_bound):
+        super().__init__(distance_bound, bidirectional=True)
+
     def begin_pass(self):
         self.new_s = np.zeros(self.n, dtype=bool)
         self.new_t = np.zeros(self.n, dtype=bool)
 
     def observe_edge(self, a, b):
-        if self.fr_s[a]:
+        fr_s, fr_t = self.frontier
+        if fr_s[a]:
             self.new_s[b] = True
-        if self.fr_s[b]:
+        if fr_s[b]:
             self.new_s[a] = True
-        if self.fr_t[a]:
+        if fr_t[a]:
             self.new_t[b] = True
-        if self.fr_t[b]:
+        if fr_t[b]:
             self.new_t[a] = True
 
     def end_pass(self):
         self.level += 1
-        self.fr_s = self.new_s & ~self.vis_s
-        self.fr_t = self.new_t & ~self.vis_t
-        self.vis_s |= self.fr_s
-        self.vis_t |= self.fr_t
-        if (self.vis_s & self.vis_t).any():
+        vis_s, vis_t = self.visited
+        fr_s = self.new_s & ~vis_s
+        fr_t = self.new_t & ~vis_t
+        vis_s |= fr_s
+        vis_t |= fr_t
+        self.frontier = [fr_s, fr_t]
+        if (vis_s & vis_t).any():
             return 1
         if 2 * self.level >= self.bound:
             return 0
-        if not self.fr_s.any() or not self.fr_t.any():
+        if not fr_s.any() or not fr_t.any():
             return 0
         return None
 
 
-class _RefForwardBfs(streaming._ForwardBfs):
+class _RefForwardBfs(streaming._LevelBfs):
+    def __init__(self, distance_bound):
+        super().__init__(distance_bound, bidirectional=False)
+
     def begin_pass(self):
         self.new = np.zeros(self.n, dtype=bool)
 
     def observe_edge(self, a, b):
-        if self.fr[a]:
+        (fr,) = self.frontier
+        if fr[a]:
             self.new[b] = True
-        if not self.directed and self.fr[b]:
+        if not self.directed and fr[b]:
             self.new[a] = True
 
     def end_pass(self):
         self.level += 1
-        self.fr = self.new & ~self.vis
-        self.vis |= self.fr
-        if self.vis[self.dst]:
+        (vis,) = self.visited
+        fr = self.new & ~vis
+        vis |= fr
+        self.frontier = [fr]
+        if vis[self.dst]:
             return 1
-        if self.level >= self.bound or not self.fr.any():
+        if self.level >= self.bound or not fr.any():
             return 0
         return None
 
