@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import StreamFormatError
 from .games import IntersectScInstance
-from .util import FrozenRecord, frozen_copy, scan_canonical_rows
+from .util import FrozenRecord, format_canonical_rows, frozen_copy, scan_canonical_rows
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -262,17 +262,14 @@ def build_matching_gadget(inst: IntersectScInstance) -> GraphStream:
     """
     k, q = inst.n, inst.p
     lay = MatchingLayout(k, q)
-    cols = range(1, 2 * q)
-    free_a = [
-        *range(1, k),
-        *(lay.in_id(c, x) for c in cols for x in range(k)),
-        *range(lay.v + 1, lay.v + k),
-    ]
-    free_b = [
-        *map(lay.pendant_left, range(1, k)),
-        *(lay.out_id(c, x) for c in cols for x in range(k)),
-        *map(lay.pendant_right, range(1, k)),
-    ]
+    # ids are base + slot, so each column's pairing edges join two ranges
+    free_a = list(range(1, k))
+    free_b = list(range(lay.pendant_left(1), lay.pendant_left(k)))
+    for c in range(1, 2 * q):
+        free_a += range(lay.in_id(c, 0), lay.in_id(c, k))
+        free_b += range(lay.out_id(c, 0), lay.out_id(c, k))
+    free_a += range(lay.v + 1, lay.v + k)
+    free_b += range(lay.pendant_right(1), lay.pendant_right(k))
     a, b = _upward(inst, lay.out_id, lay.in_id)
     edges = _edge_array(free_a + a, free_b + b)
     return GraphStream(lay.nv, False, lay.u, lay.v, q - 1, edges)
@@ -292,7 +289,7 @@ def _format_header(kind: str, nv: int, ne: int, src: int, dst: int, p: int) -> s
 def serialize_stream(stream: GraphStream) -> str:
     kind = "directed" if stream.directed else "undirected"
     header = _format_header(kind, stream.nv, stream.ne, stream.src, stream.dst, stream.p)
-    return header + "\n" + "%d %d\n" * stream.ne % tuple(stream.edges.ravel().tolist())
+    return header + "\n" + format_canonical_rows(stream.edges, np.arange(0, 2 * stream.ne + 1, 2))
 
 
 def _header_int(token: str, key: str, lineno: int) -> int:

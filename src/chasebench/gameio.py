@@ -27,24 +27,11 @@ from .games import (
     ScInstance,
     SetFunctionTable,
 )
-from .util import scan_canonical_rows
+from .util import format_canonical_rows, scan_canonical_rows
 
 __all__ = ["serialize_game", "parse_game"]
 
 _HEADER_PREFIX = "scgame v1"
-
-
-def _format_function_table(f: FunctionTable) -> list[str]:
-    return [f"{x}: {y}" for x, y in enumerate(f.image.tolist())]
-
-
-def _format_set_table(f: SetFunctionTable) -> list[str]:
-    values, offsets = f.values.tolist(), f.offsets.tolist()
-    lines = []
-    for x in range(f.n):
-        row = " ".join(map(str, values[offsets[x]:offsets[x + 1]]))
-        lines.append(f"{x}: {row}" if row else f"{x}:")
-    return lines
 
 
 def _format_header(kind: str, **sizes: int) -> str:
@@ -55,26 +42,44 @@ def serialize_game(inst) -> str:
     """Render any game instance as scgame v1 text (trailing newline included)."""
     if isinstance(inst, PcInstance):
         head = _format_header("pc", n=inst.n, p=inst.p)
-        tables = [_format_function_table(f) for f in inst.funcs]
+        funcs = inst.funcs
     elif isinstance(inst, ScInstance):
         head = _format_header("sc", n=inst.n, p=inst.p)
-        tables = [_format_set_table(f) for f in inst.funcs]
+        funcs = inst.funcs
     elif isinstance(inst, LpceInstance):
         head = _format_header("lpce", n=inst.n, p=inst.p, r=inst.r)
-        tables = [_format_function_table(f) for f in inst.tables()]
+        funcs = inst.tables()
     elif isinstance(inst, OrLpceInstance):
         head = _format_header("orlpce", n=inst.n, p=inst.p, r=inst.r, t=inst.t)
-        tables = [_format_function_table(f) for item in inst.items for f in item.tables()]
+        funcs = [f for item in inst.items for f in item.tables()]
     elif isinstance(inst, IntersectScInstance):
         head = _format_header("intersectsc", n=inst.n, p=inst.p)
-        tables = [_format_set_table(f) for f in inst.left.funcs + inst.right.funcs]
+        funcs = inst.left.funcs + inst.right.funcs
     else:
         raise TypeError(f"cannot serialize {type(inst).__name__}")
-    lines = [head]
-    for idx, block in enumerate(tables):
-        lines.append(f"table {idx}")
-        lines.extend(block)
-    return "\n".join(lines) + "\n"
+    n, count = inst.n, len(funcs)
+    # one row per element of each table, its label x first
+    if isinstance(funcs[0], SetFunctionTable):
+        local = np.concatenate([f.offsets for f in funcs]).reshape(count, n + 1)
+        offsets = np.zeros(count * n + 1, dtype=np.int64)
+        np.cumsum(local[:, 1:] - local[:, :-1] + 1, out=offsets[1:])  # targets and a label
+        values = np.empty(offsets[-1], dtype=np.int64)
+        values[offsets[:-1]] = np.arange(count * n) % n
+        is_target = np.ones(values.size, dtype=bool)
+        is_target[offsets[:-1]] = False
+        values[is_target] = np.concatenate([f.values for f in funcs])
+    else:
+        values = np.empty((count, n, 2), dtype=np.int64)
+        values[:, :, 0] = np.arange(n)
+        values[:, :, 1] = [f.image for f in funcs]
+        offsets = np.arange(0, 2 * count * n + 1, 2)
+    body = format_canonical_rows(values, offsets, labelled=True)
+    # cut the rows after each table's n-th newline to put in the `table j` lines
+    newlines = (np.frombuffer(body.encode("ascii"), np.uint8) == ord("\n")).nonzero()[0]
+    cuts = [0, *(newlines[n - 1::n] + 1).tolist()]
+    return head + "\n" + "".join(
+        f"table {j}\n" + body[cuts[j]:cuts[j + 1]] for j in range(count)
+    )
 
 
 def _parse_header(line: str) -> dict:

@@ -19,25 +19,37 @@ from .gadgets import GraphStream
 __all__ = ["oracle_distance", "oracle_reachable", "oracle_perfect_matching", "two_color"]
 
 
-def _adjacency(stream: GraphStream, directed: bool) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(stream.nv)]
-    sources, targets = stream.edges.T.tolist()
-    for a, b in zip(sources, targets):
-        adj[a].append(b)
-        if not directed:
-            adj[b].append(a)
-    return adj
+def _grouped(keys: np.ndarray, nkeys: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, order) for keys in [0, nkeys): order[ptr[x]:ptr[x + 1]] are the
+    positions holding key x, ascending."""
+    ptr = np.zeros(nkeys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=nkeys), out=ptr[1:])
+    # numpy's stable sort is a radix sort on keys of up to 16 bits, so sort
+    # them in the narrowest type that holds nkeys
+    return ptr, np.argsort(keys.astype(np.min_scalar_type(nkeys)), kind="stable")
 
 
-def _bfs(adj: list[list[int]], start: int, level: list[int], stop: int = -1) -> None:
+def _adjacency(stream: GraphStream, directed: bool) -> tuple[list[int], list[int]]:
+    """(ptr, nbr): the neighbours of x are nbr[ptr[x]:ptr[x + 1]], in edge
+    order.  An undirected edge (a, b) counts as (a, b) and (b, a)."""
+    if directed:
+        sources, targets = stream.edges.T
+    else:
+        sources, targets = stream.edges.ravel(), stream.edges[:, ::-1].ravel()
+    ptr, order = _grouped(sources, stream.nv)
+    return ptr.tolist(), targets[order].tolist()
+
+
+def _bfs(adj: tuple[list[int], list[int]], start: int, level: list[int], stop: int = -1) -> None:
     """Write the BFS depth from start into level for every vertex it
     reaches whose level is still -1; return as soon as stop gets one."""
+    ptr, nbr = adj
     level[start] = 0
     queue = deque([start])
     while queue:
         x = queue.popleft()
         depth = level[x] + 1
-        for y in adj[x]:
+        for y in nbr[ptr[x]:ptr[x + 1]]:
             if level[y] < 0:
                 level[y] = depth
                 if y == stop:
@@ -101,8 +113,9 @@ def oracle_perfect_matching(stream: GraphStream) -> int:
     a, b = stream.edges[:, 0], stream.edges[:, 1]
     rows = np.maximum(row_of[a], row_of[b])
     cols = np.maximum(col_of[a], col_of[b])
+    indptr, order = _grouped(rows, left.size)
     bi = csr_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(left.size, right.size)
+        (np.ones(rows.size, dtype=np.int8), cols[order], indptr), shape=(left.size, right.size)
     )
     matched = maximum_bipartite_matching(bi, perm_type="column")
     return int((matched >= 0).sum() == left.size)

@@ -133,6 +133,66 @@ def scan_canonical_rows(body: str, nlines: int, labelled: bool = False, width: i
     return values, (np.frombuffer(seps, np.uint8) == ord("\n")).nonzero()[0]
 
 
+def _digit_words(blank_leading_zeros: bool) -> np.ndarray:
+    """Entry d holds the four ASCII digits of d < 10**4 as one uint32 word,
+    zero-padded, or with leading zeros turned into NUL bytes (0 keeps its
+    last digit)."""
+    d = np.arange(10**4, dtype=np.int32)[:, None]
+    digits = (d // np.array([1000, 100, 10, 1], np.int32) % 10 + ord("0")).astype(np.uint8)
+    if blank_leading_zeros:
+        digits[d < np.array([1000, 100, 10, 0], np.int32)] = 0
+    return digits.view(np.uint32).ravel()
+
+
+# one word per 4-digit chunk: entries below 10**4 blank a chunk's leading
+# zeros, for a value's top chunk; entries from 10**4 keep them, for the rest
+_DIGIT_WORDS = np.concatenate([_digit_words(True), _digit_words(False)])
+
+
+def format_canonical_rows(values, offsets, labelled: bool = False) -> str:
+    """The canonical rows that scan_canonical_rows reads back as (values, offsets).
+
+    Row i holds values[offsets[i]:offsets[i + 1]] written as decimals joined
+    by single spaces and ended by '\\n'; when labelled, its first value is
+    followed by ':' (`x: y1 y2`, or `x:` alone).  Every row needs a value,
+    and every value must be non-negative; values up to 2**63 - 1 are written
+    as "%d" writes them, though the scanner refuses more than 18 digits.
+
+    Each value gets one cell of uint32 words: its 4-digit chunks, looked up
+    in _DIGIT_WORDS, then a word with its separator bytes.  Unused bytes
+    stay NUL and one translate deletes them.
+    """
+    values = np.asarray(values, dtype=np.int64).ravel()
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.size < 2:
+        return ""
+    if offsets[0] != 0 or offsets[-1] != values.size or np.count_nonzero(offsets[1:] <= offsets[:-1]):
+        raise ValueError("offsets must rise strictly from 0 to len(values): every row needs a value")
+    # a negative value wraps past 2**63 as uint64, so one max checks both ends
+    top = int(values.view(np.uint64).max())
+    if top > 2**63 - 1:
+        raise ValueError("values must be non-negative")
+    chunks = (len(str(top)) + 3) // 4
+    cells = np.zeros((values.size, chunks + 1), dtype=np.uint32)
+    if chunks == 1:  # every value is its own top chunk
+        cells[:, 0] = _DIGIT_WORDS.take(values)
+    else:
+        for i in range(chunks):  # chunk i counts from the lowest
+            rest = values // 10 ** (4 * i)
+            word = _DIGIT_WORDS.take(rest % 10**4 + (rest >= 10**4) * 10**4)
+            if i:
+                word[rest == 0] = 0  # the whole chunk lies above the value
+            cells[:, chunks - 1 - i] = word
+    # the first two bytes of the last word; a label's are ':' and its row's next separator
+    sep, sep_after_label = cells.view(np.uint8)[:, 4 * chunks:4 * chunks + 2].T
+    sep[:] = ord(" ")
+    sep[offsets[1:] - 1] = ord("\n")
+    if labelled:
+        sep_after_label[offsets[:-1]] = sep[offsets[:-1]]
+        sep[offsets[:-1]] = ord(":")
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 class FrozenRecord:
     """Base of the `@dataclass(frozen=True, eq=False)` records that store
     arrays via `frozen_copy`: equal when of the same class with every field

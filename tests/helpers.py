@@ -1,10 +1,12 @@
-"""Shared builders for the test suite (no assertions live here)."""
+"""Shared builders and reference serializers for the test suite (no
+assertions live here)."""
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
 
 import chasebench as cb
+from chasebench import gadgets, gameio
 
 
 def set_table(n: int, rows) -> cb.SetFunctionTable:
@@ -78,3 +80,53 @@ def brute_eval_sc(inst: cb.ScInstance) -> frozenset[int]:
 
 def brute_intersect(inst: cb.IntersectScInstance) -> int:
     return int(bool(brute_eval_sc(inst.left) & brute_eval_sc(inst.right)))
+
+
+# ------------------------------------------------- serializers, as they were
+# The per-line writers that util.format_canonical_rows replaced, kept
+# verbatim as references for the text both serializers must write.
+
+
+def _format_function_table(f: cb.FunctionTable) -> list[str]:
+    return [f"{x}: {y}" for x, y in enumerate(f.image.tolist())]
+
+
+def _format_set_table(f: cb.SetFunctionTable) -> list[str]:
+    values, offsets = f.values.tolist(), f.offsets.tolist()
+    lines = []
+    for x in range(f.n):
+        row = " ".join(map(str, values[offsets[x]:offsets[x + 1]]))
+        lines.append(f"{x}: {row}" if row else f"{x}:")
+    return lines
+
+
+def reference_serialize_game(inst) -> str:
+    _format_header = gameio._format_header
+    if isinstance(inst, cb.PcInstance):
+        head = _format_header("pc", n=inst.n, p=inst.p)
+        tables = [_format_function_table(f) for f in inst.funcs]
+    elif isinstance(inst, cb.ScInstance):
+        head = _format_header("sc", n=inst.n, p=inst.p)
+        tables = [_format_set_table(f) for f in inst.funcs]
+    elif isinstance(inst, cb.LpceInstance):
+        head = _format_header("lpce", n=inst.n, p=inst.p, r=inst.r)
+        tables = [_format_function_table(f) for f in inst.tables()]
+    elif isinstance(inst, cb.OrLpceInstance):
+        head = _format_header("orlpce", n=inst.n, p=inst.p, r=inst.r, t=inst.t)
+        tables = [_format_function_table(f) for item in inst.items for f in item.tables()]
+    elif isinstance(inst, cb.IntersectScInstance):
+        head = _format_header("intersectsc", n=inst.n, p=inst.p)
+        tables = [_format_set_table(f) for f in inst.left.funcs + inst.right.funcs]
+    else:
+        raise TypeError(f"cannot serialize {type(inst).__name__}")
+    lines = [head]
+    for idx, block in enumerate(tables):
+        lines.append(f"table {idx}")
+        lines.extend(block)
+    return "\n".join(lines) + "\n"
+
+
+def reference_serialize_stream(stream: cb.GraphStream) -> str:
+    kind = "directed" if stream.directed else "undirected"
+    header = gadgets._format_header(kind, stream.nv, stream.ne, stream.src, stream.dst, stream.p)
+    return header + "\n" + "%d %d\n" * stream.ne % tuple(stream.edges.ravel().tolist())

@@ -12,7 +12,7 @@ import chasebench as cb
 from chasebench import gadgets
 from chasebench.errors import StreamFormatError
 from chasebench.verify import identity_instance
-from helpers import fuzz_int, fuzz_text, intersect_instance, set_table
+from helpers import fuzz_int, fuzz_text, intersect_instance, reference_serialize_stream, set_table
 
 # Tiny hand case, k=2 with one layer per side (q=1):
 #   left  f: 0 -> {1},  1 -> {}
@@ -187,6 +187,34 @@ def test_serialize_stream_exact_text():
     )
     assert cb.serialize_stream(g) == expected
     assert cb.parse_stream(expected) == g
+
+
+def test_serialize_edgeless_stream():
+    s = cb.GraphStream(3, True, 0, 2, 1, np.zeros((0, 2), dtype=np.int64))
+    text = cb.serialize_stream(s)
+    assert text == "graphstream v1 directed nv=3 ne=0 src=0 dst=2 p=1\n"
+    assert text == reference_serialize_stream(s)
+    assert cb.parse_stream(text) == s
+
+
+def test_serialize_stream_writes_what_the_per_edge_format_wrote():
+    streams = _sampled_streams()
+    streams.append(cb.GraphStream(2**63 - 1, False, 2**63 - 2, 0, 2**63 - 1, [[2**63 - 2, 10**4]]))
+    for s in streams:
+        assert cb.serialize_stream(s) == reference_serialize_stream(s)
+
+
+def test_serialize_stream_peak_memory_stays_within_ten_times_its_text():
+    inst = cb.sample_intersect_sc(400, 3, cb.derive_rng(71), include_prob=0.045)
+    s = cb.build_distance_gadget(inst)
+    assert s.ne >= 40_000
+    tracemalloc.start()
+    try:
+        text = cb.serialize_stream(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * len(text)
 
 
 def test_stream_roundtrip_random():
@@ -433,6 +461,7 @@ def test_parse_stream_fuzz_round_trips_or_reports_a_line(text):
     except StreamFormatError as exc:
         assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
     else:
+        assert cb.serialize_stream(stream) == reference_serialize_stream(stream)
         assert cb.parse_stream(cb.serialize_stream(stream)) == stream
 
 

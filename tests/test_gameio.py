@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import chasebench as cb
 from chasebench import gameio
-from helpers import FUZZ_CHARS, fuzz_int, fuzz_text, intersect_instance, set_table
+from helpers import (
+    FUZZ_CHARS,
+    fuzz_int,
+    fuzz_text,
+    intersect_instance,
+    reference_serialize_game,
+    set_table,
+)
 
 GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
 
@@ -204,6 +211,7 @@ def test_parse_game_fuzz_round_trips_or_reports_a_line(text):
     except cb.GameFormatError as exc:
         assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
     else:
+        assert cb.serialize_game(inst) == reference_serialize_game(inst)
         assert cb.parse_game(cb.serialize_game(inst)) == inst
 
 
@@ -266,6 +274,15 @@ def test_parse_game_fast_path_equals_the_line_parser(monkeypatch):
     for inst, text, expected in zip(games, texts, want):
         assert cb.parse_game(text) == expected == inst
     assert calls == []  # canonical text never reaches the line parser
+
+
+def test_serialize_game_writes_what_the_per_line_format_wrote():
+    games = _sampled_games() + _EDITED_GAMES
+    assert {type(inst) for inst in games} == {
+        cb.PcInstance, cb.ScInstance, cb.LpceInstance, cb.OrLpceInstance, cb.IntersectScInstance
+    }
+    for inst in games:
+        assert cb.serialize_game(inst) == reference_serialize_game(inst)
 
 
 # a table of each shape: set rows with zero, one and two targets, function rows

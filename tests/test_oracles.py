@@ -2,6 +2,7 @@
 the per-question traversals that the shared BFS replaced."""
 import math
 from collections import deque
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import chasebench as cb
+from chasebench import oracles
 
 
 def _stream(nv, directed, edges, src=0, dst=None):
@@ -339,3 +341,29 @@ def test_two_color_matches_the_replaced_coloring_on_undirected_streams():
     # proper colorings and the not-bipartite error both occur
     assert "graph is not bipartite" in outcomes
     assert any(isinstance(c, list) for c in outcomes)
+
+
+def test_adjacency_lists_each_vertex_neighbours_as_the_per_edge_loop_did():
+    streams = [s for triple in sampled_gadgets() for s in triple]
+    streams += [_stream(4, False, [(0, 1), (1, 0), (0, 1), (2, 3)]), _stream(3, True, [])]
+    for s in streams + [replace(s, directed=False) for s in streams if s.directed]:
+        ptr, nbr = oracles._adjacency(s, s.directed)
+        assert [nbr[ptr[x]:ptr[x + 1]] for x in range(s.nv)] == _ref_adjacency(s)
+
+
+def test_perfect_matching_with_repeated_edges():
+    assert cb.oracle_perfect_matching(_stream(4, False, [(0, 1), (1, 0), (0, 1), (2, 3)])) == 1
+    assert cb.oracle_perfect_matching(_stream(4, False, [(0, 1), (1, 0), (0, 3), (3, 0)])) == 0
+
+
+def test_oracles_past_16_bit_vertex_ids():
+    # the radix sort covers keys up to 16 bits; these sort as uint32
+    nv = 70_000
+    edges = np.column_stack([np.arange(nv - 1), np.arange(1, nv)])
+    path = cb.GraphStream(nv, False, 0, nv - 1, 0, edges[::-1])
+    assert cb.oracle_distance(path) == nv - 1
+    assert cb.oracle_perfect_matching(path) == 1
+    assert cb.oracle_perfect_matching(cb.GraphStream(nv, False, 0, 1, 0, edges[1:])) == 0
+    backwards = cb.GraphStream(nv, True, 0, nv - 1, 0, edges[:, ::-1])
+    assert cb.oracle_reachable(backwards) == 0
+    assert cb.oracle_distance(cb.GraphStream(nv, True, nv - 1, 0, 0, edges[:, ::-1])) == nv - 1

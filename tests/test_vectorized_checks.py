@@ -23,7 +23,7 @@ from chasebench.reduction import (
     reduce_or_lpce,
     sample_permutation_family,
 )
-from chasebench.util import bitmap_to_str, derive_rng, scan_canonical_rows
+from chasebench.util import bitmap_to_str, derive_rng, format_canonical_rows, scan_canonical_rows
 from helpers import LINE_BREAKS
 
 # ------------------------------------------------------------------ references
@@ -202,6 +202,74 @@ def test_scan_canonical_rows_matches_the_round_trip_rule(case):
         assert got is not None
         assert got[0].dtype == got[1].dtype == np.int64
         assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+
+# -------------------------------------------------------- canonical row writer
+
+
+def reference_format_rows(rows, labelled):
+    """Rows written one by one with str(), the way the per-line serializers
+    wrote them: `x: y1 y2` or `x:` when labelled, `y1 y2` when not."""
+    lines = []
+    for row in rows:
+        line = " ".join(map(str, row))
+        if labelled:
+            line = line.replace(" ", ": ", 1) if len(row) > 1 else line + ":"
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+def _flatten(rows):
+    values = np.array([v for row in rows for v in row], dtype=np.int64)
+    return values, np.cumsum([0] + [len(row) for row in rows])
+
+
+# the value at each chunk boundary of the writer and the scanner's largest
+_EDGE_VALUES = [0, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 10**18 - 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.one_of(st.integers(0, 10**18 - 1), st.sampled_from(_EDGE_VALUES)), min_size=1, max_size=5),
+        max_size=6,
+    ),
+    st.booleans(),
+)
+@example([], False)  # no rows
+@example([[0]], True)  # a label alone: an empty row `0:`
+@example([_EDGE_VALUES], False)
+@example([[v] for v in _EDGE_VALUES], True)
+def test_scan_canonical_rows_inverts_format_canonical_rows(rows, labelled):
+    values, offsets = _flatten(rows)
+    text = format_canonical_rows(values, offsets, labelled)
+    assert text == reference_format_rows(rows, labelled)
+    got = scan_canonical_rows(text, len(offsets) - 1, labelled)
+    assert got is not None
+    assert got[0].tolist() == values.tolist() and got[1].tolist() == offsets.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8))
+@example([10**d - 1 for d in range(1, 19)] + [10**d for d in range(19)] + [2**63 - 1])
+def test_format_canonical_rows_writes_percent_d_up_to_int64_max(values):
+    # values over 18 digits are beyond the scanner; such text goes to the line parsers
+    text = format_canonical_rows(values, [0, len(values)])
+    assert text == " ".join("%d" % v for v in values) + "\n"
+    assert format_canonical_rows(values, range(len(values) + 1), labelled=True) == "".join(
+        "%d:\n" % v for v in values
+    )
+
+
+def test_format_canonical_rows_refuses_negative_values_and_empty_rows():
+    with pytest.raises(ValueError, match="non-negative"):
+        format_canonical_rows([3, -1], [0, 2])
+    with pytest.raises(ValueError, match="non-negative"):
+        format_canonical_rows([-(2**63)], [0, 1])
+    for offsets in ([0, 0], [0, 1, 1], [0, 2, 1], [1, 1], [0, 2]):
+        with pytest.raises(ValueError, match="every row needs a value"):
+            format_canonical_rows([1], offsets)
+    assert format_canonical_rows([], [0]) == ""
 
 
 # -------------------------------------------------------------- bitmap_to_str
