@@ -133,20 +133,24 @@ def scan_canonical_rows(body: str, nlines: int, labelled: bool = False, width: i
     return values, (np.frombuffer(seps, np.uint8) == ord("\n")).nonzero()[0]
 
 
-def _digit_words(blank_leading_zeros: bool) -> np.ndarray:
-    """Entry d holds the four ASCII digits of d < 10**4 as one uint32 word,
-    zero-padded, or with leading zeros turned into NUL bytes (0 keeps its
-    last digit)."""
-    d = np.arange(10**4, dtype=np.int32)[:, None]
-    digits = (d // np.array([1000, 100, 10, 1], np.int32) % 10 + ord("0")).astype(np.uint8)
-    if blank_leading_zeros:
-        digits[d < np.array([1000, 100, 10, 0], np.int32)] = 0
-    return digits.view(np.uint32).ravel()
+def _digit_words() -> np.ndarray:
+    """Two tables of 10**4 uint32 words, entry d holding the four ASCII
+    digits of d: the first with d's leading zeros as NUL bytes (0 keeps its
+    last digit), the second zero-padded.  Built in place, without
+    temporaries larger than 200 bytes."""
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    words = np.empty((2, 100, 100, 2), np.uint16)  # [table, d // 100, d % 100, half]
+    words[..., 0] = pairs[:, None]
+    words[..., 1] = pairs
+    blanked = words[0].view(np.uint8).reshape(10**4, 4)
+    for place, below in enumerate((1000, 100, 10)):
+        blanked[:below, place] = 0
+    return words.view(np.uint32).ravel()
 
 
-# one word per 4-digit chunk: entries below 10**4 blank a chunk's leading
-# zeros, for a value's top chunk; entries from 10**4 keep them, for the rest
-_DIGIT_WORDS = np.concatenate([_digit_words(True), _digit_words(False)])
+# a value's top 4-digit chunk c is written as entry c, with its leading zeros
+# blanked; every lower chunk c as entry 10**4 + c, zero-padded
+_DIGIT_WORDS = _digit_words()
 
 
 def format_canonical_rows(values, offsets, labelled: bool = False) -> str:
@@ -164,10 +168,10 @@ def format_canonical_rows(values, offsets, labelled: bool = False) -> str:
     """
     values = np.asarray(values, dtype=np.int64).ravel()
     offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.size < 2:
-        return ""
     if offsets[0] != 0 or offsets[-1] != values.size or np.count_nonzero(offsets[1:] <= offsets[:-1]):
         raise ValueError("offsets must rise strictly from 0 to len(values): every row needs a value")
+    if values.size == 0:  # no rows
+        return ""
     # a negative value wraps past 2**63 as uint64, so one max checks both ends
     top = int(values.view(np.uint64).max())
     if top > 2**63 - 1:

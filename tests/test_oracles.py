@@ -63,6 +63,9 @@ def test_perfect_matching_hand_cases():
     assert cb.oracle_perfect_matching(_stream(4, False, [(0, 1), (0, 2), (0, 3)])) == 0
     assert cb.oracle_perfect_matching(_stream(3, False, [(0, 1), (1, 2)])) == 0  # odd
     assert cb.oracle_perfect_matching(_stream(2, False, [])) == 0
+    # repeated edges, in either orientation
+    assert cb.oracle_perfect_matching(_stream(4, False, [(0, 1), (1, 0), (0, 1), (2, 3)])) == 1
+    assert cb.oracle_perfect_matching(_stream(4, False, [(0, 1), (1, 0), (0, 3), (3, 0)])) == 0
     with pytest.raises(ValueError):
         cb.oracle_perfect_matching(_stream(2, True, [(0, 1)]))
 
@@ -349,11 +352,6 @@ def test_adjacency_lists_each_vertex_neighbours_as_the_per_edge_loop_did():
     for s in streams + [replace(s, directed=False) for s in streams if s.directed]:
         ptr, nbr = oracles._adjacency(s, s.directed)
         assert [nbr[ptr[x]:ptr[x + 1]] for x in range(s.nv)] == _ref_adjacency(s)
-
-
-def test_perfect_matching_with_repeated_edges():
-    assert cb.oracle_perfect_matching(_stream(4, False, [(0, 1), (1, 0), (0, 1), (2, 3)])) == 1
-    assert cb.oracle_perfect_matching(_stream(4, False, [(0, 1), (1, 0), (0, 3), (3, 0)])) == 0
 
 
 def test_oracles_past_16_bit_vertex_ids():

@@ -266,7 +266,7 @@ def test_format_canonical_rows_refuses_negative_values_and_empty_rows():
         format_canonical_rows([3, -1], [0, 2])
     with pytest.raises(ValueError, match="non-negative"):
         format_canonical_rows([-(2**63)], [0, 1])
-    for offsets in ([0, 0], [0, 1, 1], [0, 2, 1], [1, 1], [0, 2]):
+    for offsets in ([0], [0, 0], [0, 1, 1], [0, 2, 1], [1, 1], [0, 2]):
         with pytest.raises(ValueError, match="every row needs a value"):
             format_canonical_rows([1], offsets)
     assert format_canonical_rows([], [0]) == ""
