@@ -14,6 +14,7 @@ labels shifted down).  Serializers in `gameio` keep the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,14 +103,12 @@ class SetFunctionTable(FrozenRecord):
             raise ValueError("offsets must be nondecreasing and end at len(values)")
         if values.size and (values.min() < 0 or values.max() >= self.n):
             raise ValueError("image values must lie in [0, n)")
-        if values.size > 1:
-            # ascending within each row: a non-increase values[i-1] >= values[i]
-            # is allowed only where a row starts at i (is_start[1:-1] covers
-            # i = 1 .. len(values)-1)
-            is_start = np.zeros(values.size + 1, dtype=bool)
-            is_start[offsets[1:-1]] = True
-            if ((values[1:] <= values[:-1]) & ~is_start[1:-1]).any():
-                raise ValueError("each image row must be strictly ascending")
+        # ascending within each row: a non-increase values[i-1] >= values[i] is
+        # allowed only where a row starts at i (is_start[1:-1] covers i = 1 .. size-1)
+        is_start = np.zeros(values.size + 1, dtype=bool)
+        is_start[offsets[1:-1]] = True
+        if ((values[1:] <= values[:-1]) & ~is_start[1:-1]).any():
+            raise ValueError("each image row must be strictly ascending")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "values", values)
 
@@ -221,10 +220,8 @@ class OrLpceInstance:
         object.__setattr__(self, "items", tuple(self.items))
         if self.t < 1 or len(self.items) != self.t:
             raise ValueError("need exactly t >= 1 items")
-        first = self.items[0]
-        for item in self.items:
-            if item.n != first.n or item.p != first.p or item.r != first.r:
-                raise ValueError("all items must share n, p, and r")
+        if len({(item.n, item.p, item.r) for item in self.items}) != 1:
+            raise ValueError("all items must share n, p, and r")
 
     @property
     def n(self) -> int:
@@ -263,23 +260,38 @@ class IntersectScInstance:
 # evaluators
 
 
-def _vec_apply_sorted(f: SetFunctionTable, elems: np.ndarray) -> np.ndarray:
-    """Union of image rows for a sorted element array; returns a sorted array."""
-    if elems.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    parts = [f.values[f.offsets[x]:f.offsets[x + 1]] for x in elems.tolist()]
-    joined = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return np.unique(joined)
+def _start(f: SetFunctionTable) -> np.ndarray:
+    """Mask of row 0, the image of the start element 0."""
+    mask = np.zeros(f.n, dtype=bool)
+    mask[f.values[: f.offsets[1]]] = True
+    return mask
+
+
+def _step(f: SetFunctionTable, mask: np.ndarray) -> np.ndarray:
+    """Mask of the union of f's image rows over the elements set in `mask`."""
+    out = np.zeros(f.n, dtype=bool)
+    out[f.values[np.repeat(mask, np.diff(f.offsets))]] = True
+    return out
+
+
+def _chase(funcs: Sequence[SetFunctionTable]) -> np.ndarray:
+    """Mask of the set chase from {0}: funcs[-1] first, funcs[0] last."""
+    mask = _start(funcs[-1])
+    for f in reversed(funcs[:-1]):
+        mask = _step(f, mask)
+    return mask
 
 
 def vec_apply(f: SetFunctionTable, s: Iterable[int]) -> frozenset[int]:
     """Union of f's image sets over the elements of s."""
-    elems = sorted(set(int(x) for x in s))
-    for x in elems:
+    mask = np.zeros(f.n, dtype=bool)
+    for x in s:
+        if not (isinstance(x, Integral) or isinstance(x, Real) and float(x).is_integer()):
+            raise ValueError(f"element {x!r} is not an integer")
         if not 0 <= x < f.n:
-            raise ValueError(f"element {x} outside [0, {f.n})")
-    out = _vec_apply_sorted(f, np.array(elems, dtype=np.int64))
-    return frozenset(out.tolist())
+            raise ValueError(f"element {int(x)} outside [0, {f.n})")
+        mask[int(x)] = True
+    return frozenset(np.flatnonzero(_step(f, mask)).tolist())
 
 
 def eval_pc(inst: PcInstance) -> int:
@@ -292,18 +304,13 @@ def eval_pc(inst: PcInstance) -> int:
 
 def eval_sc(inst: ScInstance) -> frozenset[int]:
     """Chase the start set {0} through the set tables, innermost first."""
-    cur = np.array([0], dtype=np.int64)
-    for f in reversed(inst.funcs):
-        cur = _vec_apply_sorted(f, cur)
-    return frozenset(cur.tolist())
+    return frozenset(np.flatnonzero(_chase(inst.funcs)).tolist())
 
 
 def is_r_non_injective(f: FunctionTable, r: int) -> bool:
     """True when some output value has at least r preimages."""
     if r < 1:
         raise ValueError("r must be positive")
-    if r > f.n:
-        return False
     return int(np.bincount(f.image, minlength=f.n).max()) >= r
 
 
@@ -321,7 +328,7 @@ def eval_lpce(inst: LpceInstance) -> int:
 
 
 def eval_intersect_sc(inst: IntersectScInstance) -> int:
-    return int(bool(eval_sc(inst.left) & eval_sc(inst.right)))
+    return int((_chase(inst.left.funcs) & _chase(inst.right.funcs)).any())
 
 
 def eval_or_lpce(inst: OrLpceInstance) -> int:
@@ -347,9 +354,7 @@ def sample_uniform_pc(n: int, p: int, rng: np.random.Generator) -> PcInstance:
 
 def sample_uniform_lpce(n: int, p: int, r: int, rng: np.random.Generator) -> LpceInstance:
     """Uniform escape-equality item; left chase drawn before right."""
-    left = sample_uniform_pc(n, p, rng)
-    right = sample_uniform_pc(n, p, rng)
-    return LpceInstance(left, right, r)
+    return LpceInstance(sample_uniform_pc(n, p, rng), sample_uniform_pc(n, p, rng), r)
 
 
 def sample_uniform_or_lpce(
@@ -369,11 +374,9 @@ def sample_set_function(
     if not 0.0 <= include_prob <= 1.0:
         raise ValueError("include_prob must be a probability")
     mask = rng.random((n, n)) < include_prob
-    rows, cols = np.nonzero(mask)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    offsets = np.cumsum(offsets)
-    return SetFunctionTable(n, offsets, cols.astype(np.int64))
+    np.cumsum(np.count_nonzero(mask, axis=1), out=offsets[1:])
+    return SetFunctionTable(n, offsets, np.nonzero(mask)[1])
 
 
 def sample_intersect_sc(

@@ -198,9 +198,7 @@ def mixture_entropy_check(
     return MixtureEntropyReport(h, bound, bound - h, h <= bound + 1e-9)
 
 
-def _good_mask(p: FiniteDistribution, q: FiniteDistribution, eps: float) -> np.ndarray:
-    a = kl_divergence(p, q)
-    cutoff = 2.0 ** (-(a + 1.0) / eps) if math.isfinite(a) else 0.0
+def _good_mask(p: FiniteDistribution, q: FiniteDistribution, cutoff: float) -> np.ndarray:
     return (p.probs > 0) & (p.probs * cutoff <= q.probs)
 
 
@@ -214,13 +212,14 @@ def good_set(p: FiniteDistribution, q: FiniteDistribution, eps: float) -> frozen
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    mask = _good_mask(p, q, eps)
+    a = kl_divergence(p, q)
+    mask = _good_mask(p, q, 2.0 ** (-(a + 1.0) / eps) if math.isfinite(a) else 0.0)
     weight = float(p.probs[mask].sum())
     if weight < 1.0 - eps - 1e-9:
         raise RuntimeError(
             f"good set carries {weight} < 1-eps of the mass; this contradicts the bound"
         )
-    return frozenset(int(i) for i in np.flatnonzero(mask))
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ def rejection_sample(
     if not math.isfinite(a):
         raise ValueError("divergence is infinite; the sampler would never stop")
     c = 2.0 ** (-(a + 1.0) / eps)
-    mask = _good_mask(p, q, eps)
+    mask = _good_mask(p, q, c)
     w = float(p.probs[mask].sum())
     bottom = c * (1.0 - w) / (1.0 - c * w) if w < 1.0 else 0.0
     cum = np.cumsum(q.probs)

@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .errors import ProtocolError
-from .games import IntersectScInstance, SetFunctionTable, _vec_apply_sorted
+from .games import IntersectScInstance, SetFunctionTable, _start, _step
 from .util import bitmap_to_str, str_to_bitmap
 
 __all__ = [
@@ -129,7 +127,7 @@ def _set_chase_protocol(inst: IntersectScInstance, schedule: Schedule) -> tuple[
     first turn after that broadcast.  Other turns send the placeholder "0";
     the last turn appends the intersection bit of player 0's and p's sets.
     """
-    n, p = inst.n, inst.p
+    p = inst.p
     starts = (p - 1, 2 * p - 1)
     said: dict[int, int] = {}  # player -> round of its set broadcast
     for round_, turn_order in enumerate(schedule.order):
@@ -141,14 +139,11 @@ def _set_chase_protocol(inst: IntersectScInstance, schedule: Schedule) -> tuple[
     def speak(player: int, table: SetFunctionTable, transcript: Transcript, round_: int) -> str:
         msg = ""
         if round_ == said.get(player):
-            if player in starts:  # row 0 of the table is its image of {0}
-                elems = table.values[table.offsets[0] : table.offsets[1]]
+            if player in starts:
+                msg = bitmap_to_str(_start(table))
             else:
-                prev = str_to_bitmap(transcript.message_from(said[player + 1], player + 1))
-                elems = _vec_apply_sorted(table, np.nonzero(prev)[0])
-            mask = np.zeros(n, dtype=bool)
-            mask[elems] = True
-            msg = bitmap_to_str(mask)
+                prev = transcript.message_from(said[player + 1], player + 1)
+                msg = bitmap_to_str(_step(table, str_to_bitmap(prev)))
         if (round_, player) != last:
             return msg or "0"
         left = msg if player == 0 else transcript.message_from(said[0], 0)

@@ -55,24 +55,22 @@ def tilted(n: int, delta: float) -> info.FiniteDistribution:
     """Distribution on [n] with entropy exactly log2(n) - delta (bisected)."""
     target = math.log2(n) - delta
 
-    def h(s: float) -> float:
+    def probs_at(s: float) -> np.ndarray:
         p0 = 1.0 / n + s
-        rest = (1.0 - p0) / (n - 1)
-        probs = np.full(n, rest)
+        probs = np.full(n, (1.0 - p0) / (n - 1))
         probs[0] = p0
-        return info.entropy(info.FiniteDistribution(probs))
+        return probs
 
     lo, hi = 0.0, 1.0 - 1.0 / n - 1e-12
     for _ in range(200):
         mid = (lo + hi) / 2
-        if h(mid) > target:
+        p = probs_at(mid)
+        p = p[p > 0]  # info.entropy's expression, without building a distribution
+        if -(p * np.log2(p)).sum() > target:
             lo = mid
         else:
             hi = mid
-    p0 = 1.0 / n + lo
-    probs = np.full(n, (1.0 - p0) / (n - 1))
-    probs[0] = p0
-    return info.FiniteDistribution(probs)
+    return info.FiniteDistribution(probs_at(lo))
 
 
 def _random_dist(n: int, rng: np.random.Generator) -> info.FiniteDistribution:

@@ -82,6 +82,19 @@ def brute_intersect(inst: cb.IntersectScInstance) -> int:
     return int(bool(brute_eval_sc(inst.left) & brute_eval_sc(inst.right)))
 
 
+# The sorted-array set step that games._start/_step replaced, kept verbatim
+# as the reference for the mask chase and the earlier protocol strategies.
+
+
+def _vec_apply_sorted(f: cb.SetFunctionTable, elems: np.ndarray) -> np.ndarray:
+    """Union of image rows for a sorted element array; returns a sorted array."""
+    if elems.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    parts = [f.values[f.offsets[x]:f.offsets[x + 1]] for x in elems.tolist()]
+    joined = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return np.unique(joined)
+
+
 # ------------------------------------------------- serializers, as they were
 # The per-line writers that util.format_canonical_rows replaced, kept
 # verbatim as references for the text both serializers must write.

@@ -51,6 +51,32 @@ def test_vec_apply_rejects_out_of_range():
         cb.vec_apply(f, [3])
     with pytest.raises(ValueError):
         cb.vec_apply(f, [-1])
+    with pytest.raises(ValueError, match=rf"element {2**70} outside \[0, 3\)"):
+        cb.vec_apply(f, [2**70])
+    with pytest.raises(ValueError, match=r"element 3 outside \[0, 3\)"):
+        cb.vec_apply(f, [np.int64(3)])
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1.5, -0.5, float("nan"), float("inf"), float("-inf"), np.float64(2.5), 1 + 0j, None, "1"],
+)
+def test_vec_apply_rejects_non_integer_elements(x):
+    f = identity_set_table(3)
+    with pytest.raises(ValueError, match="is not an integer"):
+        cb.vec_apply(f, [0, x])
+
+
+def test_vec_apply_rejects_a_huge_integral_float_as_out_of_range():
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        cb.vec_apply(identity_set_table(3), [1e300])
+
+
+def test_vec_apply_accepts_integer_values_of_any_type():
+    f = set_table(4, [[1, 2], [3], [], [0, 3]])
+    assert cb.vec_apply(f, [1.0, True, np.int64(3), np.uint8(0)]) == frozenset({0, 1, 2, 3})
+    assert cb.vec_apply(f, np.array([3, 0], dtype=np.int32)) == frozenset({0, 1, 2, 3})
+    assert cb.vec_apply(f, [np.float32(2.0), False]) == frozenset({1, 2})
 
 
 def test_is_r_non_injective():

@@ -8,10 +8,10 @@ byte-identical transcript dump.
 import numpy as np
 
 import chasebench as cb
-from chasebench.games import SetFunctionTable, _vec_apply_sorted
+from chasebench.games import SetFunctionTable
 from chasebench.protocols import Schedule, Strategy, Transcript, run_protocol
 from chasebench.util import bitmap_to_str, str_to_bitmap
-from helpers import all_set_tables, intersect_instance
+from helpers import _vec_apply_sorted, all_set_tables, intersect_instance
 
 # ------------------------------------------------------------------ references
 
