@@ -270,7 +270,7 @@ def _start(f: SetFunctionTable) -> np.ndarray:
 def _step(f: SetFunctionTable, mask: np.ndarray) -> np.ndarray:
     """Mask of the union of f's image rows over the elements set in `mask`."""
     out = np.zeros(f.n, dtype=bool)
-    out[f.values[np.repeat(mask, np.diff(f.offsets))]] = True
+    out[f.values[mask.repeat(f.offsets[1:] - f.offsets[:-1])]] = True
     return out
 
 
@@ -354,7 +354,9 @@ def sample_uniform_pc(n: int, p: int, rng: np.random.Generator) -> PcInstance:
 
 def sample_uniform_lpce(n: int, p: int, r: int, rng: np.random.Generator) -> LpceInstance:
     """Uniform escape-equality item; left chase drawn before right."""
-    return LpceInstance(sample_uniform_pc(n, p, rng), sample_uniform_pc(n, p, rng), r)
+    left = sample_uniform_pc(n, p, rng)
+    right = sample_uniform_pc(n, p, rng)
+    return LpceInstance(left, right, r)
 
 
 def sample_uniform_or_lpce(
@@ -373,10 +375,8 @@ def sample_set_function(
     """
     if not 0.0 <= include_prob <= 1.0:
         raise ValueError("include_prob must be a probability")
-    mask = rng.random((n, n)) < include_prob
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=offsets[1:])
-    return SetFunctionTable(n, offsets, np.nonzero(mask)[1])
+    rows, cols = np.nonzero(rng.random((n, n)) < include_prob)  # row-major: rows ascend
+    return SetFunctionTable(n, np.searchsorted(rows, np.arange(n + 1)), cols)
 
 
 def sample_intersect_sc(
