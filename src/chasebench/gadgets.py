@@ -9,13 +9,12 @@ the hard instance for p = q - 1 passes, recorded in the stream header.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import StreamFormatError
 from .games import IntersectScInstance
-from .util import FrozenRecord, format_canonical_rows, frozen_copy, scan_canonical_rows
+from .util import FrozenRecord, format_canonical_rows, frozen_copy, scan_canonical_rows, stable_order
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -121,50 +120,60 @@ class GadgetLayout:
         return vid % self.k
 
 
-def _table_blocks(inst: IntersectScInstance) -> Iterator[tuple[int, list, int, list]]:
-    """(domain column, domain slots, image column, image slots) for each of
-    the 2*depth tables, in stream order: left layers, then right.
+def _table_edges(inst: IntersectScInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(block, slots) for every edge of the 2*depth tables, in stream order:
+    left layers, then right, each table in table order (by domain slot,
+    then ascending image slot).  Edge j comes from table block[j], numbered
+    as _block_columns numbers them; slots[0, j] is its domain slot and
+    slots[1, j] its image slot.
 
-    Left layer i maps column depth-1-i into depth-i and right layer i maps
-    depth+1+i into depth+i, so layer 0 of each side is its outermost table.
-    The slot lists hold one int per edge, in table order: by domain slot,
-    then ascending image slot.
+    The tables' offsets are concatenated, so a row's length is the next
+    cell's offset minus its own; the step from one table's last cell to the
+    next table's first is negative and clips to 0.  One repeat of the cell
+    ids over those lengths gives each edge its cell, block*(k+1) + slot.
     """
-    q = inst.p
-    for side, step in ((inst.left, -1), (inst.right, 1)):
-        for i, table in enumerate(side.funcs):
-            offsets = table.offsets.tolist()
-            dslots = [x for x in range(table.n) for _ in range(offsets[x + 1] - offsets[x])]
-            yield q + step * (i + 1), dslots, q + step * i, table.values.tolist()
+    tables = inst.left.funcs + inst.right.funcs
+    offsets = np.concatenate([t.offsets for t in tables])
+    lens = offsets[1:] - offsets[:-1]
+    np.maximum(lens, 0, out=lens)
+    cells = np.arange(lens.size).repeat(lens)
+    slots = np.empty((2, cells.size), dtype=np.int64)
+    block, _ = np.divmod(cells, inst.n + 1, out=(None, slots[0]))
+    np.concatenate([t.values for t in tables], out=slots[1])
+    return block, slots
 
 
-def _upward(inst: IntersectScInstance, low_id, high_id) -> tuple[list, list]:
+def _block_columns(q: int) -> tuple[list[int], list[int]]:
+    """The domain and the image column of each table block, in stream order.
+
+    Left layer i maps column q-1-i into q-i and right layer i maps q+1+i
+    into q+i, so layer 0 of each side is its outermost table.
+    """
+    return [*range(q - 1, -1, -1), *range(q + 1, 2 * q + 1)], [*range(q, 0, -1), *range(q, 2 * q)]
+
+
+def _upward(inst: IntersectScInstance, low_id, high_id) -> np.ndarray:
     """Every table edge written (lower column's endpoint, higher column's
-    endpoint), block by block, each block sorted by (first, second).
+    endpoint), block by block, each block sorted by (first, second); row 0
+    of the (2, ne) result holds the first endpoints.
 
     The endpoints are low_id(col, slot) and high_id(col, slot), which must
-    both be of the form base(col) + slot.  In table order a block whose
-    domain is the lower column is already sorted; a block whose image is
-    the lower column is sorted by a stable sort on its image slots, which
-    keeps the domain slots ascending within each image slot.
+    both be of the form base(col) + slot.  Left blocks map each column into
+    the next higher one and keep their table order, which is already
+    sorted.  The right blocks, which come after them, map into the next
+    lower column, so they swap their slots.  One stable sort on (block,
+    lower slot) then sorts every block and keeps the higher slots ascending
+    within each lower slot.
     """
-    a: list[int] = []
-    b: list[int] = []
-    for dcol, dslots, icol, islots in _table_blocks(inst):
-        if dcol < icol:
-            low, high = low_id(dcol, 0), high_id(icol, 0)
-            a += [low + x for x in dslots]
-            b += [high + y for y in islots]
-        else:
-            low, high = low_id(icol, 0), high_id(dcol, 0)
-            order = sorted(range(len(islots)), key=islots.__getitem__)
-            a += [low + islots[i] for i in order]
-            b += [high + dslots[i] for i in order]
-    return a, b
-
-
-def _edge_array(a: list, b: list) -> np.ndarray:
-    return np.array((a, b), dtype=np.int64).T
+    k, q = inst.n, inst.p
+    block, slots = _table_edges(inst)
+    right = sum([t.values.size for t in inst.left.funcs])
+    slots[:, right:] = slots[::-1, right:]
+    domain, image = _block_columns(q)
+    lower = domain[:q] + image[q:]
+    bases = np.array([[low_id(c, 0) for c in lower], [high_id(c + 1, 0) for c in lower]])
+    order = stable_order(block * k + slots[0], 2 * q * k)
+    return (bases[:, block] + slots)[:, order]
 
 
 def build_distance_gadget(inst: IntersectScInstance) -> GraphStream:
@@ -181,13 +190,11 @@ def build_distance_gadget(inst: IntersectScInstance) -> GraphStream:
     """
     k, q = inst.n, inst.p
     layout = GadgetLayout(k, q)
-    a: list[int] = []
-    b: list[int] = []
     # table order is already (domain, image) order, so no sort is needed
-    for dcol, dslots, icol, islots in _table_blocks(inst):
-        a += [dcol * k + x for x in dslots]
-        b += [icol * k + y for y in islots]
-    return GraphStream(layout.nv, False, layout.u, layout.v, q - 1, _edge_array(a, b))
+    block, slots = _table_edges(inst)
+    bases = np.array([[layout.vid(col, 0) for col in cols] for cols in _block_columns(q)])
+    edges = (bases[:, block] + slots).T
+    return GraphStream(layout.nv, False, layout.u, layout.v, q - 1, edges)
 
 
 def build_reachability_gadget(inst: IntersectScInstance) -> GraphStream:
@@ -200,7 +207,7 @@ def build_reachability_gadget(inst: IntersectScInstance) -> GraphStream:
     """
     k, q = inst.n, inst.p
     layout = GadgetLayout(k, q)
-    edges = _edge_array(*_upward(inst, layout.vid, layout.vid))
+    edges = _upward(inst, layout.vid, layout.vid).T
     return GraphStream(layout.nv, True, layout.u, layout.v, q - 1, edges)
 
 
@@ -262,16 +269,18 @@ def build_matching_gadget(inst: IntersectScInstance) -> GraphStream:
     """
     k, q = inst.n, inst.p
     lay = MatchingLayout(k, q)
-    # ids are base + slot, so each column's pairing edges join two ranges
-    free_a = list(range(1, k))
-    free_b = list(range(lay.pendant_left(1), lay.pendant_left(k)))
-    for c in range(1, 2 * q):
-        free_a += range(lay.in_id(c, 0), lay.in_id(c, k))
-        free_b += range(lay.out_id(c, 0), lay.out_id(c, k))
-    free_a += range(lay.v + 1, lay.v + k)
-    free_b += range(lay.pendant_right(1), lay.pendant_right(k))
-    a, b = _upward(inst, lay.out_id, lay.in_id)
-    edges = _edge_array(free_a + a, free_b + b)
+    # ids are base + slot, so each column's pairing edges join two ranges;
+    # the boundary columns skip slot 0, as u and v have no pendant
+    inner = range(1, 2 * q)
+    bases = np.array([
+        [lay.out_id(0, 0), *(lay.in_id(c, 0) for c in inner), lay.in_id(2 * q, 0)],
+        [lay.pendant_left(1) - 1, *(lay.out_id(c, 0) for c in inner), lay.pendant_right(1) - 1],
+    ])
+    pairs = (bases[:, :, None] + np.arange(k)).reshape(2, -1)
+    last = 2 * q * k  # v's slot 0
+    edges = np.concatenate(
+        (pairs[:, 1:last], pairs[:, last + 1:], _upward(inst, lay.out_id, lay.in_id)), axis=1
+    ).T
     return GraphStream(lay.nv, False, lay.u, lay.v, q - 1, edges)
 
 

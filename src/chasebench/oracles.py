@@ -15,6 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .gadgets import GraphStream
+from .util import stable_order
 
 __all__ = ["oracle_distance", "oracle_reachable", "oracle_perfect_matching", "two_color"]
 
@@ -24,9 +25,7 @@ def _grouped(keys: np.ndarray, nkeys: int) -> tuple[np.ndarray, np.ndarray]:
     positions holding key x, ascending."""
     ptr = np.zeros(nkeys + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=nkeys), out=ptr[1:])
-    # numpy's stable sort is a radix sort on keys of up to 16 bits, so sort
-    # them in the narrowest type that holds nkeys
-    return ptr, np.argsort(keys.astype(np.min_scalar_type(nkeys)), kind="stable")
+    return ptr, stable_order(keys, nkeys)
 
 
 def _adjacency(stream: GraphStream, directed: bool) -> tuple[list[int], list[int]]:

@@ -239,10 +239,21 @@ class _UnionFind(StreamingAlgorithm):
 class _DirectedFrontier(StreamingAlgorithm):
     """Reachability by chaining marks within a pass, in arrival order.
 
-    Processing edge (a, b) marks b as soon as a is already marked, so a
-    stream sorted along the path direction can resolve many hops per pass,
-    while an adversarial order still forces one block of progress per pass.
-    A pass that marks nothing new proves the frontier stable: answer 0.
+    Processing edge (a, b) marks b as soon as a is already marked (and, on
+    an undirected stream, a as soon as b is), so a stream sorted along the
+    path direction can resolve many hops per pass, while an adversarial
+    order still forces one block of progress per pass.  A pass that marks
+    nothing new proves the frontier stable: answer 0.
+
+    The per-edge scan sees only the edges that can fire.  A vertex unmarked
+    when the pass begins can be marked only by an earlier edge of the pass
+    that has it as target (on an undirected stream, as either end).  So a
+    directed edge cannot fire when its target is already marked, nor when
+    its source is unmarked and no earlier edge targets it; an undirected
+    edge cannot fire when both ends are marked, nor when neither end is
+    marked or touched by an earlier edge.  Dropping edges that never fire
+    changes no mark, so the kept edges see the same marks in the same
+    order as in the full scan.
     """
 
     name = "directed-frontier"
@@ -258,15 +269,27 @@ class _DirectedFrontier(StreamingAlgorithm):
         return None
 
     def run_pass(self, edges: np.ndarray) -> Optional[int]:
+        tails, heads = edges[:, 0], edges[:, 1]
+        index = np.arange(len(edges))
+        # first[x]: the index of the first edge that can mark x, len(edges) if none
+        first = np.full(self.n, len(edges))
+        if self.directed:
+            np.minimum.at(first, heads, index)
+            live = ~self.vis[heads] & (self.vis[tails] | (first[tails] < index))
+        else:
+            np.minimum.at(first, edges.ravel(), index.repeat(2))
+            at_tail, at_head = self.vis[tails], self.vis[heads]
+            reach = at_tail | at_head | (first[tails] < index) | (first[heads] < index)
+            live = ~(at_tail & at_head) & reach
         vis, undirected, changed = self.vis.tolist(), not self.directed, False
-        for a, b in zip(*edges.T.tolist()):
+        for a, b in zip(tails[live].tolist(), heads[live].tolist()):
             if vis[a] and not vis[b]:
                 vis[b] = True
                 changed = True
             if undirected and vis[b] and not vis[a]:
                 vis[a] = True
                 changed = True
-        self.vis = np.array(vis)
+        self.vis = np.array(vis, dtype=bool)
         if vis[self.dst]:
             return 1
         if not changed:

@@ -41,6 +41,14 @@ def unpack_uints(blob: bytes, width: int, count: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
+def stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
+    """The positions of keys in [0, nkeys), sorted by key and, among equal
+    keys, ascending.  numpy's stable sort is a radix sort on integers of up
+    to 16 bits, so the keys are sorted in the narrowest type that holds
+    nkeys."""
+    return keys.astype(np.min_scalar_type(nkeys)).argsort(kind="stable")
+
+
 def bitmap_to_str(mask: np.ndarray) -> str:
     """Render a 1-D boolean array as a left-to-right 0/1 string.
 
@@ -59,9 +67,9 @@ def str_to_bitmap(bits: str) -> np.ndarray:
 def frozen_copy(values, dtype) -> np.ndarray:
     """A read-only, C-contiguous copy of `values` as `dtype`; never a view.
 
-    Into an integer dtype, a value the cast would change (1.5, NaN, inf)
-    raises ValueError; numpy's OverflowError for a Python number beyond the
-    dtype passes through.
+    Into an integer dtype, a value the cast would change (1.5, NaN, inf, a
+    float beyond the dtype) raises ValueError; numpy's OverflowError for a
+    Python int beyond the dtype passes through.
     """
     src = np.asarray(values)
     if src.dtype == dtype or np.dtype(dtype).kind != "i":
@@ -70,8 +78,17 @@ def frozen_copy(values, dtype) -> np.ndarray:
         if src.dtype.kind in "fc" and not np.isfinite(src).all():
             raise ValueError(f"values change under the cast to {np.dtype(dtype)}")
         # cast `values`: inference may turn a Python int beyond int64 into a float
-        with np.errstate(invalid="ignore"):
-            arr = np.array(values, dtype=dtype, order="C")
+        try:
+            with np.errstate(invalid="ignore"):
+                arr = np.array(values, dtype=dtype, order="C")
+        except OverflowError:
+            # inference gives a float for [2**63, 1] too, so only the
+            # elements tell a Python int beyond the dtype from a float
+            bounds = np.iinfo(dtype)
+            ints = [x for x in np.array(values, dtype=object).flat if type(x) is int]
+            if src.dtype.kind in "fc" and all(bounds.min <= x <= bounds.max for x in ints):
+                raise ValueError(f"values change under the cast to {np.dtype(dtype)}") from None
+            raise
         if not (arr == src).all():
             raise ValueError(f"values change under the cast to {np.dtype(dtype)}")
     arr.flags.writeable = False

@@ -64,12 +64,17 @@ def tilted(n: int, delta: float) -> info.FiniteDistribution:
     lo, hi = 0.0, 1.0 - 1.0 / n - 1e-12
     for _ in range(200):
         mid = (lo + hi) / 2
+        # a midpoint that rounds onto an end leaves the bracket as it is or
+        # closes it, and then every later step repeats this one
+        last = mid in (lo, hi)
         p = probs_at(mid)
         p = p[p > 0]  # info.entropy's expression, without building a distribution
         if -(p * np.log2(p)).sum() > target:
             lo = mid
         else:
             hi = mid
+        if last:
+            break
     return info.FiniteDistribution(probs_at(lo))
 
 

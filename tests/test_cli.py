@@ -230,6 +230,19 @@ def test_reduce_sampled_is_deterministic(capsys):
             ("stream-run", "--input", str(GOLDEN / "matching_k4_p1_seed31.gs"), "--alg", "bidir-bfs"),
             "547a3b5cb6d7de180bf75c18a0a906c0d21085e33608199772ee6eed77aa0e5d",
         ),
+        # the three builders at k=400, depth 3: about 480,000 edges each
+        (
+            ("gen-graph", "--seed", "5", "--k", "400", "--p", "2", "--gadget", "distance"),
+            "69f58b8b5a0774af8e8a71a1bae19b02e86545a5b8144efddf795b29b736e6e1",
+        ),
+        (
+            ("gen-graph", "--seed", "5", "--k", "400", "--p", "2", "--gadget", "reach"),
+            "909277d3042a2501f3222a077ab237076209f4a5ac4255a2534bc410546ffb6d",
+        ),
+        (
+            ("gen-graph", "--seed", "5", "--k", "400", "--p", "2", "--gadget", "matching"),
+            "d506918ce601b637d4343eeb214493c444eb85ea86b8a932b94a7224a235d3fd",
+        ),
     ],
 )
 def test_reduction_outputs_are_pinned(capsys, argv, digest):

@@ -155,6 +155,17 @@ def test_builders_match_references_at_k400():
     assert_same_streams(inst)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(1, 4),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
+    st.integers(0, 2**32 - 1),
+)
+def test_builders_match_references_on_drawn_instances(k, depth, include_prob, seed):
+    assert_same_streams(cb.sample_intersect_sc(k, depth, cb.derive_rng(413, seed), include_prob=include_prob))
+
+
 # ------------------------------------------------------------------ validation
 
 

@@ -97,7 +97,8 @@ NON_INTEGRAL_RECORDS = {
 @pytest.mark.parametrize("name", sorted(NON_INTEGRAL_RECORDS))
 def test_integer_records_refuse_values_the_cast_would_change(name):
     build = NON_INTEGRAL_RECORDS[name]
-    for bad in (0.5, 0.9, 1.99, np.nan, np.inf, -np.inf, np.float32(0.5)):
+    # 1e30, -1e30 and 2.0**63 are floats beyond int64, whose cast overflows
+    for bad in (0.5, 0.9, 1.99, np.nan, np.inf, -np.inf, np.float32(0.5), 1e30, -1e30, 2.0**63):
         with pytest.raises(ValueError, match="change under the cast to int64"):
             build(bad)
     # values the cast keeps still pass, as floats, bools or other integer types

@@ -324,3 +324,32 @@ def test_the_comparison_catches_a_broken_frontier_step(monkeypatch, broken):
     streams = sampled_streams()[:120]
     assert mismatches("forward-bfs", streams) > 0
     assert mismatches("bidir-bfs", streams) > 0
+
+
+def path_stream(nv, directed, forward):
+    """The path 0 - 1 - ... - nv-1 from src 0 to dst nv-1, its edges
+    arriving from the src end (forward) or from the dst end."""
+    edges = np.stack((np.arange(nv - 1), np.arange(1, nv)), axis=1)
+    return cb.GraphStream(nv, directed, 0, nv - 1, 0, edges if forward else edges[::-1])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_sorted_paths_match_the_per_edge_reference(name, directed):
+    for forward in (True, False):
+        s = path_stream(300, directed, forward)
+        if applicable(name, s):
+            got, want = outcomes(name, s, s.nv + 1)
+            assert got == want
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_directed_frontier_chains_a_forward_path_in_one_pass(directed):
+    # every mark of the forward pass comes from the edge just before, so a
+    # scan that skipped edges whose source an earlier edge marks would stall
+    forward = cb.run_streaming(cb.alg_directed_frontier(), path_stream(300, directed, True), 301)
+    backward = cb.run_streaming(cb.alg_directed_frontier(), path_stream(300, directed, False), 301)
+    assert (forward.answer, forward.passes_used) == (1, 1)
+    assert (backward.answer, backward.passes_used) == (1, 299)
+    # a level word and the 300-bit visited mask
+    assert forward.max_state_bits == backward.max_state_bits == 32 + 304

@@ -82,3 +82,32 @@ def test_reduction_suite_catches_a_broken_scrambler(monkeypatch):
     monkeypatch.setattr(reduction, "scramble", broken)
     results = verify.run_suite("reduction", 5, trials=40)
     assert any(not r.passed for r in results)
+
+
+def reference_tilted(n, delta):
+    """The bisection before its early stop: always 200 steps."""
+    target = np.log2(n) - delta
+
+    def probs_at(s):
+        p0 = 1.0 / n + s
+        probs = np.full(n, (1.0 - p0) / (n - 1))
+        probs[0] = p0
+        return probs
+
+    lo, hi = 0.0, 1.0 - 1.0 / n - 1e-12
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        p = probs_at(mid)
+        p = p[p > 0]
+        if -(p * np.log2(p)).sum() > target:
+            lo = mid
+        else:
+            hi = mid
+    return probs_at(lo)
+
+
+def test_tilted_stops_early_on_the_same_distribution():
+    grid = [(n, delta) for n in (2, 3, 4, 5, 16, 64, 100, 256, 300)
+            for delta in (1e-9, 1e-6, 4e-4, 0.01, 0.1, 0.3, 0.5, 0.99)]
+    for n, delta in grid:
+        assert verify.tilted(n, delta).probs.tobytes() == reference_tilted(n, delta).tobytes(), (n, delta)
