@@ -61,12 +61,14 @@ class FunctionTable(FrozenRecord):
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ground set must be nonempty")
-        image = frozen_copy(self.image, np.int64)
-        if image.shape != (self.n,):
-            raise ValueError(f"image must have shape ({self.n},), got {image.shape}")
-        if image.min() < 0 or image.max() >= self.n:
+        object.__setattr__(self, "image", frozen_copy(self.image, np.int64))
+        self._check_shapes()
+        if self.image.min() < 0 or self.image.max() >= self.n:
             raise ValueError("image values must lie in [0, n)")
-        object.__setattr__(self, "image", image)
+
+    def _check_shapes(self) -> None:
+        if self.image.shape != (self.n,):
+            raise ValueError(f"image must have shape ({self.n},), got {self.image.shape}")
 
     @classmethod
     def identity(cls, n: int) -> "FunctionTable":
@@ -97,9 +99,10 @@ class SetFunctionTable(FrozenRecord):
             raise ValueError("ground set must be nonempty")
         offsets = frozen_copy(self.offsets, np.int64)
         values = frozen_copy(self.values, np.int64)
-        if offsets.shape != (self.n + 1,) or offsets[0] != 0:
-            raise ValueError("offsets must have shape (n+1,) and start at 0")
-        if np.count_nonzero(offsets[1:] < offsets[:-1]) or offsets[-1] != values.size:
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "values", values)
+        self._check_shapes()
+        if np.count_nonzero(offsets[1:] < offsets[:-1]):
             raise ValueError("offsets must be nondecreasing and end at len(values)")
         if values.size and (values.min() < 0 or values.max() >= self.n):
             raise ValueError("image values must lie in [0, n)")
@@ -109,8 +112,14 @@ class SetFunctionTable(FrozenRecord):
         is_start[offsets[1:-1]] = True
         if ((values[1:] <= values[:-1]) & ~is_start[1:-1]).any():
             raise ValueError("each image row must be strictly ascending")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "values", values)
+
+    def _check_shapes(self) -> None:
+        if self.offsets.shape != (self.n + 1,) or self.offsets[0] != 0:
+            raise ValueError("offsets must have shape (n+1,) and start at 0")
+        if self.values.ndim != 1:
+            raise ValueError("values must be one-dimensional")
+        if self.offsets[-1] != self.values.size:
+            raise ValueError("offsets must be nondecreasing and end at len(values)")
 
     @classmethod
     def from_sets(cls, n: int, sets: Sequence[Iterable[int]]) -> "SetFunctionTable":

@@ -117,8 +117,9 @@ class PermutationFamily(FrozenRecord):
     def __post_init__(self):
         pi = frozen_copy(self.pi, np.int64)
         rho = frozen_copy(self.rho, np.int64)
-        if pi.ndim != 3 or pi.shape != rho.shape or pi.shape[2] != self.n:
-            raise ValueError("pi and rho must both have shape (t, p, n)")
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "rho", rho)
+        self._check_shapes()
         for fam in (pi, rho):
             # a row is a permutation iff its n values lie in [0, n) and hit all n slots
             flat = fam.reshape(-1, self.n)
@@ -130,8 +131,10 @@ class PermutationFamily(FrozenRecord):
                 raise ValueError("every row must be a permutation of [0, n)")
         if not np.array_equal(pi[:, 0, :], rho[:, 0, :]):
             raise ValueError("outermost layers must be shared between pi and rho")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "rho", rho)
+
+    def _check_shapes(self) -> None:
+        if self.pi.ndim != 3 or self.pi.shape != self.rho.shape or self.pi.shape[2] != self.n:
+            raise ValueError("pi and rho must both have shape (t, p, n)")
 
     @property
     def t(self) -> int:
@@ -142,7 +145,7 @@ class PermutationFamily(FrozenRecord):
         return self.pi.shape[1]
 
     def inverse(self) -> "PermutationFamily":
-        return PermutationFamily(self.n, _invert(self.pi), _invert(self.rho))
+        return PermutationFamily._trusted(n=self.n, pi=_invert(self.pi), rho=_invert(self.rho))
 
 
 def _invert(perms: np.ndarray) -> np.ndarray:
@@ -160,17 +163,16 @@ def sample_permutation_family(
     Draw order per item: shared layer first, then remaining left layers, then
     remaining right layers, so a fixed seed pins the whole family.
     """
-    pi = np.zeros((t, p, n), dtype=np.int64)
-    rho = np.zeros((t, p, n), dtype=np.int64)
-    for j in range(t):
+    pi, rho = [], []
+    for _ in range(t):
         shared = rng.permutation(n)
-        pi[j, 0] = shared
-        rho[j, 0] = shared
-        for i in range(1, p):
-            pi[j, i] = rng.permutation(n)
-        for i in range(1, p):
-            rho[j, i] = rng.permutation(n)
-    return PermutationFamily(n, pi, rho)
+        pi += [shared, *(rng.permutation(n) for _ in range(1, p))]
+        rho += [shared, *(rng.permutation(n) for _ in range(1, p))]
+    return PermutationFamily._trusted(
+        n=n,
+        pi=np.array(pi, dtype=np.int64).reshape(t, p, n),
+        rho=np.array(rho, dtype=np.int64).reshape(t, p, n),
+    )
 
 
 def _scramble_side(
@@ -181,7 +183,8 @@ def _scramble_side(
     Layer i becomes perms[i] o f_i o perms[i+1]^-1; the innermost layer has
     no inner inverse so the chase still starts at the raw element 0.  An
     inner layer is one scatter: the new table sends perms[i+1][x] to
-    perms[i][f_i(x)].
+    perms[i][f_i(x)].  Each new table is a permutation of a valid table's
+    image, so it is built through the trusted entry.
     """
     p = len(funcs)
     n = funcs[0].n
@@ -192,7 +195,7 @@ def _scramble_side(
             inner = np.empty_like(image)
             inner[perms[i + 1]] = image
             image = inner
-        out.append(FunctionTable(n, image))
+        out.append(FunctionTable._trusted(n=n, image=image))
     return tuple(out)
 
 
@@ -220,35 +223,46 @@ def overlay(
     """Merge t scrambled items into one set-chase intersection instance.
 
     Layer i of the result maps x to the set of the t scrambled layer-i
-    values at x (duplicates collapse).
+    values at x (duplicates collapse).  Every pair must hold two sides of p
+    FunctionTables over one n, p and n being those of pair 0's left side;
+    a pair that does not is refused with a ValueError that names it.
 
-    Each layer is one sort of the n*t keys x*n + image_j[x].  Row x's keys
-    lie in [x*n, (x+1)*n), so the sorted keys, read as an (n, t) array, hold
-    every row's values in order.  Keys stay below n^2, which int64 holds for
-    every n whose tables fit in memory.
+    Each layer is one stable sort of the n*t keys x*n + image_j[x].  Row x's
+    keys lie in [x*n, (x+1)*n), so the sorted keys hold row x's t values in
+    slots [x*t, (x+1)*t), ascending, and a key equal to the one before it is
+    a duplicate within its row.  Row x then starts at slot t*x less the
+    duplicates before it, and its values are its keys less x*n with the
+    duplicates deleted.  Every row comes out strictly ascending and in
+    [0, n), so the tables are built through the trusted entry.  Keys stay
+    below n^2, which int64 holds for every n whose tables fit in memory.
     """
-    if not scrambled:
-        raise ValueError("need at least one scrambled item")
-    n = scrambled[0][0][0].n
-    p = len(scrambled[0][0])
-    t = len(scrambled)
-    row_base = np.arange(n, dtype=np.int64) * n
+    if not scrambled or not scrambled[0][0]:
+        raise ValueError("need at least one scrambled item with at least one layer")
+    p, n, t = len(scrambled[0][0]), scrambled[0][0][0].n, len(scrambled)
+    for j, (left, right) in enumerate(scrambled):
+        if len(left) != p or len(right) != p:
+            raise ValueError(
+                f"pair {j} has {len(left)} left and {len(right)} right layers, not {p} a side"
+            )
+        if not all(isinstance(f, FunctionTable) and f.n == n for f in (*left, *right)):
+            raise ValueError(f"pair {j} holds a table that is not a FunctionTable over n={n}")
+    row_start = np.arange(n + 1, dtype=np.int64) * t
+    slot_base = np.arange(n, dtype=np.int64).repeat(t) * n  # x*n in each of row x's slots
+    row_base = slot_base[::t]
     keys = np.empty(n * t, dtype=np.int64)
 
+    def overlay_layer(images) -> SetFunctionTable:
+        for j, image in enumerate(images):
+            np.add(image, row_base, out=keys[j::t])
+        keys.sort(kind="stable")
+        dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        offsets = row_start - np.searchsorted(dup, row_start)
+        values = np.delete(np.subtract(keys, slot_base, out=keys), dup)
+        return SetFunctionTable._trusted(n=n, offsets=offsets, values=values)
+
     def overlay_side(side: int) -> ScInstance:
-        tables = []
-        for i in range(p):
-            for j, pair in enumerate(scrambled):
-                np.add(pair[side][i].image, row_base, out=keys[j::t])
-            keys.sort(kind="stable")
-            rows = keys.reshape(n, t)
-            keep = np.ones((n, t), dtype=bool)
-            keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            offsets[1:] = np.cumsum(keep)[t - 1 :: t]
-            values = (rows - row_base[:, None])[keep]
-            tables.append(SetFunctionTable(n, offsets, values))
-        return ScInstance(n, p, tuple(tables))
+        layers = (overlay_layer([pair[side][i].image for pair in scrambled]) for i in range(p))
+        return ScInstance(n, p, tuple(layers))
 
     return IntersectScInstance(overlay_side(0), overlay_side(1))
 

@@ -215,11 +215,39 @@ def format_canonical_rows(values, offsets, labelled: bool = False) -> str:
 
 
 class FrozenRecord:
-    """Base of the `@dataclass(frozen=True, eq=False)` records that store
-    arrays via `frozen_copy`: equal when of the same class with every field
-    equal (arrays by `np.array_equal`), and unhashable like their arrays."""
+    """Base of the `@dataclass(frozen=True, eq=False)` records that hold
+    read-only arrays: equal when of the same class with every field equal
+    (arrays by `np.array_equal`), and unhashable like their arrays.
+
+    A record has two entries.  The public constructor stores a
+    `frozen_copy` of each array it is given and checks every value.
+    `cls._trusted(**attrs)` is for code inside the package that has just
+    built the arrays itself: it stores them as they are, marked read-only,
+    after checking only dtype, contiguity and `_check_shapes`.  Its caller
+    must pass fresh int64 arrays that nothing else holds and whose values
+    are valid by how they were made.
+    """
 
     __hash__ = None
+
+    @classmethod
+    def _trusted(cls, **attrs):
+        if attrs.keys() != cls.__dataclass_fields__.keys():
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls.__dataclass_fields__)}")
+        record = object.__new__(cls)
+        for name, value in attrs.items():
+            if isinstance(value, np.ndarray):
+                if value.dtype != np.int64 or not value.flags.c_contiguous:
+                    raise ValueError(f"{name} must be a C-contiguous int64 array")
+                value.flags.writeable = False
+            object.__setattr__(record, name, value)
+        record._check_shapes()
+        return record
+
+    def _check_shapes(self) -> None:
+        """Raise ValueError unless the arrays have the shapes the other fields
+        call for; O(1), and run by both entries."""
+        raise NotImplementedError(f"{type(self).__name__} has no trusted entry")
 
     def __eq__(self, other):
         if type(other) is not type(self):

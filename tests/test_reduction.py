@@ -1,4 +1,5 @@
 """Scramble-and-overlay reduction: parameter budget, algebra, completeness."""
+import hashlib
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chasebench as cb
-from chasebench import verify
+from chasebench import gameio, verify
 from chasebench.errors import InfeasibleParametersError
 
 
@@ -198,6 +199,52 @@ def test_overlay_matches_python_reference():
 def test_overlay_rejects_empty_input():
     with pytest.raises(ValueError):
         cb.overlay([])
+
+
+def _overlay_pairs(rng, *shapes):
+    """One (left, right) pair of layer tuples per (n, left p, right p)."""
+    pairs = []
+    for n, p_left, p_right in shapes:
+        left = cb.sample_uniform_pc(n, p_left, rng).funcs
+        right = cb.sample_uniform_pc(n, p_right, rng).funcs
+        pairs.append((left, right))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "shapes, pair",
+    [
+        ([(8, 2, 2), (8, 3, 3)], 1),  # a later item with more layers
+        ([(8, 2, 3)], 0),  # p=2 on the left, p=3 on the right
+        ([(8, 2, 2), (9, 2, 2)], 1),  # a later item with a different n
+        ([(8, 2, 2), (8, 2, 2), (8, 1, 1)], 2),  # a later item with fewer layers
+    ],
+)
+def test_overlay_refuses_a_pair_unlike_the_first(shapes, pair):
+    pairs = _overlay_pairs(cb.derive_rng(22), *shapes)
+    with pytest.raises(ValueError, match=rf"^pair {pair} "):
+        cb.overlay(pairs)
+
+
+def test_overlay_refuses_a_table_that_is_not_a_function_table():
+    (left, right), = _overlay_pairs(cb.derive_rng(23), (8, 2, 2))
+    sets = tuple(cb.SetFunctionTable.from_function(f) for f in right)
+    with pytest.raises(ValueError, match="^pair 1 "):
+        cb.overlay([(left, right), (left, sets)])
+
+
+def test_permutation_draws_are_pinned():
+    fam = cb.sample_permutation_family(4096, 2, 2, cb.derive_rng(9))
+    digest = hashlib.sha256(fam.pi.tobytes() + fam.rho.tobytes()).hexdigest()
+    assert digest == "58ff5f029141f224861831175b58fccd2093ebabc5c267db080f79b1e4210dba"
+
+
+def test_reduction_output_at_t3_is_pinned():
+    n, p, t = 1024, 2, 3
+    inst = cb.sample_uniform_or_lpce(n, p, cb.c_star_threshold(n), t, cb.derive_rng(19, 1))
+    out = cb.reduce_or_lpce(inst, cb.derive_rng(19, 2), check_feasible=False)
+    digest = hashlib.sha256(gameio.serialize_game(out).encode()).hexdigest()
+    assert digest == "c1060c92b1ec66e97734609e39bb7aee636881487c2d68f9897183843f526a7f"
 
 
 def test_reduce_checks_feasibility_by_default():
