@@ -203,12 +203,10 @@ def test_overlay_rejects_empty_input():
 
 def _overlay_pairs(rng, *shapes):
     """One (left, right) pair of layer tuples per (n, left p, right p)."""
-    pairs = []
-    for n, p_left, p_right in shapes:
-        left = cb.sample_uniform_pc(n, p_left, rng).funcs
-        right = cb.sample_uniform_pc(n, p_right, rng).funcs
-        pairs.append((left, right))
-    return pairs
+    def funcs(n, p):
+        return cb.sample_uniform_pc(n, p, rng).funcs
+
+    return [(funcs(n, a), funcs(n, b)) for n, a, b in shapes]
 
 
 @pytest.mark.parametrize(

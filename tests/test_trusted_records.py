@@ -15,6 +15,8 @@ import chasebench as cb
 
 
 def reference_sample_permutation_family(n, p, t, rng):
+    """The sampler that filled zeroed arrays and built the family through
+    its public constructor."""
     pi = np.zeros((t, p, n), dtype=np.int64)
     rho = np.zeros((t, p, n), dtype=np.int64)
     for j in range(t):
@@ -28,7 +30,11 @@ def reference_sample_permutation_family(n, p, t, rng):
     return cb.PermutationFamily(n, pi, rho)
 
 
-def reference_overlay(scrambled):
+def reference_keep_mask_overlay(scrambled):
+    """The overlay kernel that the sort-and-scan one replaced: a keep mask,
+    a cumsum over it and a boolean gather per layer, and public
+    SetFunctionTable constructors.  (`test_vectorized_checks.py` keeps the
+    kernel before this one.)"""
     if not scrambled:
         raise ValueError("need at least one scrambled item")
     n = scrambled[0][0][0].n
@@ -59,7 +65,8 @@ def reference_overlay(scrambled):
 
 
 def _arrays(record) -> list[np.ndarray]:
-    return [getattr(record, f.name) for f in fields(record) if isinstance(getattr(record, f.name), np.ndarray)]
+    values = (getattr(record, f.name) for f in fields(record))
+    return [v for v in values if isinstance(v, np.ndarray)]
 
 
 def _tables(inst) -> list:
@@ -99,7 +106,8 @@ def or_instances(draw) -> cb.OrLpceInstance:
     def chase(j, side):
         return cb.PcInstance(n, p, tuple(cb.FunctionTable(n, images[j, side, i]) for i in range(p)))
 
-    return cb.OrLpceInstance(t, tuple(cb.LpceInstance(chase(j, 0), chase(j, 1), n + 1) for j in range(t)))
+    items = tuple(cb.LpceInstance(chase(j, 0), chase(j, 1), n + 1) for j in range(t))
+    return cb.OrLpceInstance(t, items)
 
 
 def _images(inst: cb.OrLpceInstance) -> list[np.ndarray]:
@@ -119,16 +127,17 @@ def test_trusted_records_equal_their_public_rebuilds(inst, seed):
     assert_trusted([inv], [fam.pi, fam.rho])
 
     pairs = [cb.scramble(item, j, fam) for j, item in enumerate(inst.items)]
-    assert_trusted([f for left, right in pairs for f in (*left, *right)], [*_images(inst), fam.pi, fam.rho])
+    scrambled_tables = [f for left, right in pairs for f in (*left, *right)]
+    assert_trusted(scrambled_tables, [*_images(inst), fam.pi, fam.rho])
 
     plain = [(item.left.funcs, item.right.funcs) for item in inst.items]
     for scrambled in (pairs, plain):
         merged = cb.overlay(scrambled)
-        assert merged == reference_overlay(scrambled)
+        assert merged == reference_keep_mask_overlay(scrambled)
         assert_trusted(_tables(merged), [f.image for pair in scrambled for side in pair for f in side])
 
     reduced = cb.reduce_or_lpce(inst, cb.derive_rng(seed), check_feasible=False)
-    assert reduced == reference_overlay(pairs)
+    assert reduced == reference_keep_mask_overlay(pairs)
     assert_trusted(_tables(reduced), _images(inst))
 
 
@@ -138,7 +147,7 @@ def test_overlay_of_identical_items_keeps_one_value_a_row():
     merged = cb.overlay([(item.left.funcs, item.right.funcs)] * 5)
     for table in _tables(merged):
         assert np.array_equal(table.offsets, np.arange(41))
-    assert merged == reference_overlay([(item.left.funcs, item.right.funcs)] * 5)
+    assert merged == reference_keep_mask_overlay([(item.left.funcs, item.right.funcs)] * 5)
 
 
 def _refuse(self):
@@ -149,7 +158,7 @@ def test_reduction_never_runs_the_public_validation(monkeypatch):
     rng = cb.derive_rng(11)
     inst = cb.sample_uniform_or_lpce(256, 2, cb.c_star_threshold(256), 3, rng)
     plain = [(item.left.funcs, item.right.funcs) for item in inst.items]
-    want = reference_overlay(plain)
+    want = reference_keep_mask_overlay(plain)
     for cls in (cb.FunctionTable, cb.SetFunctionTable, cb.PermutationFamily):
         monkeypatch.setattr(cls, "__post_init__", _refuse)
     reduced = cb.reduce_or_lpce(inst, cb.derive_rng(12), check_feasible=False)
@@ -159,7 +168,8 @@ def test_reduction_never_runs_the_public_validation(monkeypatch):
     assert merged == want
     fam = reference_sample_permutation_family(256, 2, 3, cb.derive_rng(12))
     assert inverse == fam.inverse()
-    assert reduced == reference_overlay([cb.scramble(item, j, fam) for j, item in enumerate(inst.items)])
+    pairs = [cb.scramble(item, j, fam) for j, item in enumerate(inst.items)]
+    assert reduced == reference_keep_mask_overlay(pairs)
 
 
 def test_trusted_entry_checks_dtype_contiguity_shape_and_fields():
@@ -175,6 +185,8 @@ def test_trusted_entry_checks_dtype_contiguity_shape_and_fields():
     with pytest.raises(ValueError, match="end at len"):
         cb.SetFunctionTable._trusted(n=2, offsets=np.array([0, 1, 2]), values=np.array([0]))
     with pytest.raises(ValueError, match="shape"):
-        cb.PermutationFamily._trusted(n=3, pi=np.zeros((1, 1, 3), np.int64), rho=np.zeros((1, 2, 3), np.int64))
+        cb.PermutationFamily._trusted(
+            n=3, pi=np.zeros((1, 1, 3), np.int64), rho=np.zeros((1, 2, 3), np.int64)
+        )
     with pytest.raises(TypeError):
         cb.FunctionTable._trusted(n=4)
