@@ -122,17 +122,17 @@ class GadgetLayout:
 
 def _table_edges(inst: IntersectScInstance) -> tuple[np.ndarray, np.ndarray]:
     """(block, slots) for every edge of the 2*depth tables, in stream order:
-    left layers, then right, each table in table order (by domain slot,
-    then ascending image slot).  Edge j comes from table block[j], numbered
-    as _block_columns numbers them; slots[0, j] is its domain slot and
-    slots[1, j] its image slot.
+    block i is inst.tables()[i], the table of player i, with its edges in
+    table order (by domain slot, then ascending image slot).  Edge j comes
+    from table block[j]; slots[0, j] is its domain slot and slots[1, j] its
+    image slot.
 
     The tables' offsets are concatenated, so a row's length is the next
     cell's offset minus its own; the step from one table's last cell to the
     next table's first is negative and clips to 0.  One repeat of the cell
     ids over those lengths gives each edge its cell, block*(k+1) + slot.
     """
-    tables = inst.left.funcs + inst.right.funcs
+    tables = inst.tables()
     offsets = np.concatenate([t.offsets for t in tables])
     lens = offsets[1:] - offsets[:-1]
     np.maximum(lens, 0, out=lens)
@@ -167,7 +167,7 @@ def _upward(inst: IntersectScInstance, low_id, high_id) -> np.ndarray:
     """
     k, q = inst.n, inst.p
     block, slots = _table_edges(inst)
-    right = sum([t.values.size for t in inst.left.funcs])
+    right = int(np.searchsorted(block, q))  # the first right-table edge
     slots[:, right:] = slots[::-1, right:]
     domain, image = _block_columns(q)
     lower = domain[:q] + image[q:]

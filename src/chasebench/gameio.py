@@ -9,9 +9,10 @@ Layout::
 
 Each table block holds one line per ground-set element, `x: y1 y2 ...` with
 the targets ascending (exactly one target for function tables, any number
-including zero for set tables).  Tables appear in a fixed order: left chase
-outermost-first, then right chase; OR instances list item 0's tables first.
-All indices are 0-based.
+including zero for set tables).  Table j is the instance's tables()[j]: for
+the two-chase kinds that is player j's table, left chase outermost-first,
+then right chase; OR instances list item 0's tables first.  All indices are
+0-based.
 """
 from __future__ import annotations
 
@@ -34,29 +35,38 @@ __all__ = ["serialize_game", "parse_game"]
 _HEADER_PREFIX = "scgame v1"
 
 
+# instance type -> (kind, header sizes after n and p, tables per chase layer,
+# set-valued tables); a file's tables are the instance's tables(), whose
+# inverse is the type's from_tables
+_KINDS = {
+    PcInstance: ("pc", (), 1, False),
+    ScInstance: ("sc", (), 1, True),
+    LpceInstance: ("lpce", ("r",), 2, False),
+    OrLpceInstance: ("orlpce", ("r", "t"), 2, False),
+    IntersectScInstance: ("intersectsc", (), 2, True),
+}
+_BY_KIND = {entry[0]: (cls, *entry[1:]) for cls, entry in _KINDS.items()}
+
+
+def _layout(kind: str, fields: dict):
+    """(type, header sizes, table count, set-valued tables) of a game of
+    `kind` whose header holds `fields`; KeyError when either is unknown."""
+    cls, extra, per_layer, set_valued = _BY_KIND[kind]
+    sizes = {key: fields[key] for key in ("n", "p", *extra)}
+    return cls, sizes, per_layer * sizes["p"] * sizes.get("t", 1), set_valued
+
+
 def _format_header(kind: str, **sizes: int) -> str:
     return f"{_HEADER_PREFIX} kind={kind}" + "".join(f" {key}={value}" for key, value in sizes.items())
 
 
 def serialize_game(inst) -> str:
     """Render any game instance as scgame v1 text (trailing newline included)."""
-    if isinstance(inst, PcInstance):
-        head = _format_header("pc", n=inst.n, p=inst.p)
-        funcs = inst.funcs
-    elif isinstance(inst, ScInstance):
-        head = _format_header("sc", n=inst.n, p=inst.p)
-        funcs = inst.funcs
-    elif isinstance(inst, LpceInstance):
-        head = _format_header("lpce", n=inst.n, p=inst.p, r=inst.r)
-        funcs = inst.tables()
-    elif isinstance(inst, OrLpceInstance):
-        head = _format_header("orlpce", n=inst.n, p=inst.p, r=inst.r, t=inst.t)
-        funcs = [f for item in inst.items for f in item.tables()]
-    elif isinstance(inst, IntersectScInstance):
-        head = _format_header("intersectsc", n=inst.n, p=inst.p)
-        funcs = inst.left.funcs + inst.right.funcs
-    else:
+    if type(inst) not in _KINDS:
         raise TypeError(f"cannot serialize {type(inst).__name__}")
+    kind, extra, _, _ = _KINDS[type(inst)]
+    head = _format_header(kind, **{key: getattr(inst, key) for key in ("n", "p", *extra)})
+    funcs = inst.tables()
     n, count = inst.n, len(funcs)
     # one row per element of each table, its label x first
     if isinstance(funcs[0], SetFunctionTable):
@@ -162,33 +172,6 @@ def _parse_tables(lines, end: int, n: int, count: int, set_valued: bool):
     return tables
 
 
-# kind -> (header sizes after n and p, tables per chase layer, set-valued tables)
-_KINDS = {
-    "pc": ((), 1, False),
-    "sc": ((), 1, True),
-    "lpce": (("r",), 2, False),
-    "orlpce": (("r", "t"), 2, False),
-    "intersectsc": ((), 2, True),
-}
-
-
-def _assemble(kind: str, n: int, p: int, fields: dict, funcs):
-    """The instance of a known kind whose tables, in file order, are funcs."""
-    def lpce(funcs) -> LpceInstance:
-        return LpceInstance(PcInstance(n, p, funcs[:p]), PcInstance(n, p, funcs[p:]), fields["r"])
-
-    if kind == "pc":
-        return PcInstance(n, p, funcs)
-    if kind == "sc":
-        return ScInstance(n, p, funcs)
-    if kind == "lpce":
-        return lpce(funcs)
-    if kind == "orlpce":
-        t = fields["t"]
-        return OrLpceInstance(t, tuple(lpce(funcs[j * 2 * p:(j + 1) * 2 * p]) for j in range(t)))
-    return IntersectScInstance(ScInstance(n, p, funcs[:p]), ScInstance(n, p, funcs[p:]))
-
-
 def parse_game(text: str):
     """Parse scgame v1 text into the matching instance type.
 
@@ -203,18 +186,15 @@ def parse_game(text: str):
     """
     header, _, body = text.partition("\n")
     try:
-        _, _, kind, *sizes = header.split(" ")
+        _, _, kind, *tokens = header.split(" ")
         kind = kind.partition("=")[2]
-        extra, per_layer, set_valued = _KINDS[kind]
-        fields = {
-            key: int(size.partition("=")[2]) for key, size in zip(("n", "p", *extra), sizes, strict=True)
-        }
-        n, p = fields["n"], fields["p"]
+        fields = {key: int(value) for key, _, value in (token.partition("=") for token in tokens)}
+        cls, sizes, count, set_valued = _layout(kind, fields)
     except (ValueError, KeyError):
         return _parse_game_lines(text)
-    if header != _format_header(kind, **fields) or min(fields.values()) < 1:
+    if header != _format_header(kind, **sizes) or min(sizes.values()) < 1:
         return _parse_game_lines(text)
-    count = per_layer * p * (fields["t"] if kind == "orlpce" else 1)
+    n = sizes["n"]
     blocks = body.split("table ")
     if blocks[0] or len(blocks) != count + 1:
         return _parse_game_lines(text)
@@ -249,7 +229,7 @@ def parse_game(text: str):
             funcs = [FunctionTable(n, image) for image in values[1::2].reshape(count, n)]
     except ValueError:
         return _parse_game_lines(text)
-    return _assemble(kind, n, p, fields, funcs)
+    return cls.from_tables(funcs, **sizes)
 
 
 def _parse_game_lines(text: str):
@@ -259,13 +239,13 @@ def _parse_game_lines(text: str):
     if not raw or not raw[0].strip():
         raise GameFormatError("line 1: empty input")
     fields = _parse_header(raw[0])
-    kind, n, p = fields["kind"], fields["n"], fields["p"]
+    kind = fields["kind"]
     body = [(i + 2, line) for i, line in enumerate(raw[1:]) if line.strip()]
     end = len(raw) + 1
-    if kind not in _KINDS:
+    if kind not in _BY_KIND:
         raise GameFormatError(f"line 1: unknown kind {kind!r}")
-    extra, per_layer, set_valued = _KINDS[kind]
+    extra = _BY_KIND[kind][1]
     if any(key not in fields for key in extra):
         raise GameFormatError(f"line 1: kind={kind} requires {' and '.join(extra)}")
-    count = per_layer * p * (fields["t"] if kind == "orlpce" else 1)
-    return _assemble(kind, n, p, fields, _parse_tables(body, end, n, count, set_valued))
+    cls, sizes, count, set_valued = _layout(kind, fields)
+    return cls.from_tables(_parse_tables(body, end, sizes["n"], count, set_valued), **sizes)

@@ -146,20 +146,33 @@ class SetFunctionTable(FrozenRecord):
         return int(self.values.size)
 
 
-def _check_layer_shapes(n: int, p: int, funcs, kind) -> None:
-    if p < 1:
-        raise ValueError("need at least one layer")
-    if len(funcs) != p:
-        raise ValueError(f"expected {p} tables, got {len(funcs)}")
-    for f in funcs:
-        if not isinstance(f, kind):
-            raise TypeError(f"layer tables must be {kind.__name__}")
-        if f.n != n:
-            raise ValueError("all layers must share the same ground set size")
+class _Chase:
+    """Base of the one-chase games: p tables over [0, n), funcs[0] outermost."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "funcs", tuple(self.funcs))
+        if self.p < 1:
+            raise ValueError("need at least one layer")
+        if len(self.funcs) != self.p:
+            raise ValueError(f"expected {self.p} tables, got {len(self.funcs)}")
+        for f in self.funcs:
+            if not isinstance(f, self._table):
+                raise TypeError(f"layer tables must be {self._table.__name__}")
+            if f.n != self.n:
+                raise ValueError("all layers must share the same ground set size")
+
+    def tables(self) -> tuple:
+        """The tables in file order: player i holds funcs[i]."""
+        return self.funcs
+
+    @classmethod
+    def from_tables(cls, tables, n: int, p: int):
+        """The inverse of tables()."""
+        return cls(n, p, tables)
 
 
 @dataclass(frozen=True)
-class PcInstance:
+class PcInstance(_Chase):
     """A pointer chase: p function tables applied innermost-last-first.
 
     funcs[0] is the outermost table (applied last); funcs[p-1] is applied
@@ -170,26 +183,52 @@ class PcInstance:
     p: int
     funcs: tuple[FunctionTable, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "funcs", tuple(self.funcs))
-        _check_layer_shapes(self.n, self.p, self.funcs, FunctionTable)
+    _table = FunctionTable
 
 
 @dataclass(frozen=True)
-class ScInstance:
+class ScInstance(_Chase):
     """A set chase: like PcInstance but with set-valued tables."""
 
     n: int
     p: int
     funcs: tuple[SetFunctionTable, ...]
 
+    _table = SetFunctionTable
+
+
+class _TwoChases:
+    """Base of the two-chase games: a left and a right chase of matching n and p."""
+
     def __post_init__(self):
-        object.__setattr__(self, "funcs", tuple(self.funcs))
-        _check_layer_shapes(self.n, self.p, self.funcs, SetFunctionTable)
+        if self.left.n != self.right.n or self.left.p != self.right.p:
+            raise ValueError("left and right chases must have matching n and p")
+
+    @property
+    def n(self) -> int:
+        return self.left.n
+
+    @property
+    def p(self) -> int:
+        return self.left.p
+
+    def tables(self) -> tuple:
+        """The tables in the players' order: player i < p holds left table i,
+        and player p+i holds right table i.
+
+        This one order is also the table order of scgame v1 files, the block
+        order of gadget streams, and the players' order of the protocols.
+        """
+        return self.left.funcs + self.right.funcs
+
+    @classmethod
+    def from_tables(cls, tables, n: int, p: int, **sizes):
+        """The inverse of tables(); `sizes` are the fields after the chases."""
+        return cls(cls._chase(n, p, tables[:p]), cls._chase(n, p, tables[p:]), **sizes)
 
 
 @dataclass(frozen=True)
-class LpceInstance:
+class LpceInstance(_TwoChases):
     """Two pointer chases plus a non-injectivity escape threshold r.
 
     The predicate is forced to 1 whenever any table has some output with at
@@ -200,22 +239,12 @@ class LpceInstance:
     right: PcInstance
     r: int
 
+    _chase = PcInstance
+
     def __post_init__(self):
-        if self.left.n != self.right.n or self.left.p != self.right.p:
-            raise ValueError("left and right chases must have matching n and p")
+        super().__post_init__()
         if self.r < 1:
             raise ValueError("escape threshold r must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.left.n
-
-    @property
-    def p(self) -> int:
-        return self.left.p
-
-    def tables(self) -> tuple[FunctionTable, ...]:
-        return self.left.funcs + self.right.funcs
 
 
 @dataclass(frozen=True)
@@ -244,25 +273,31 @@ class OrLpceInstance:
     def r(self) -> int:
         return self.items[0].r
 
+    def tables(self) -> tuple[FunctionTable, ...]:
+        """The tables in file order, item-major: item j's tables() fill
+        positions 2pj to 2p(j+1)-1.
+
+        This is not the grouping of the OR game's players, in which player i
+        holds layer i of every item.
+        """
+        return tuple(f for item in self.items for f in item.tables())
+
+    @classmethod
+    def from_tables(cls, tables, n: int, p: int, r: int, t: int) -> "OrLpceInstance":
+        """The inverse of tables()."""
+        span = 2 * p
+        return cls(t, tuple(LpceInstance.from_tables(tables[j:j + span], n, p, r=r)
+                            for j in range(0, t * span, span)))
+
 
 @dataclass(frozen=True)
-class IntersectScInstance:
+class IntersectScInstance(_TwoChases):
     """Two set chases; the predicate asks whether the final sets intersect."""
 
     left: ScInstance
     right: ScInstance
 
-    def __post_init__(self):
-        if self.left.n != self.right.n or self.left.p != self.right.p:
-            raise ValueError("left and right chases must have matching n and p")
-
-    @property
-    def n(self) -> int:
-        return self.left.n
-
-    @property
-    def p(self) -> int:
-        return self.left.p
+    _chase = ScInstance
 
 
 # ---------------------------------------------------------------------------

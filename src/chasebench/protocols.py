@@ -114,9 +114,9 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 # set-chase protocols
 #
-# For an intersection instance with p layers per side there are 2p players:
-# player i < p holds left table i, player p+i holds right table i.  A "set
-# message" is the current reachable set as a fixed-width n-bit bitmap.
+# For an intersection instance with p layers per side there are 2p players,
+# player i holding inst.tables()[i].  A "set message" is the current
+# reachable set as a fixed-width n-bit bitmap.
 
 
 def _set_chase_protocol(inst: IntersectScInstance, schedule: Schedule) -> tuple[int, Transcript]:
@@ -150,8 +150,7 @@ def _set_chase_protocol(inst: IntersectScInstance, schedule: Schedule) -> tuple[
         right = msg if player == p else transcript.message_from(said[p], p)
         return msg + ("1" if (str_to_bitmap(left) & str_to_bitmap(right)).any() else "0")
 
-    inputs = list(inst.left.funcs) + list(inst.right.funcs)
-    return run_protocol(schedule, [partial(speak, i) for i in range(2 * p)], inputs)
+    return run_protocol(schedule, [partial(speak, i) for i in range(2 * p)], inst.tables())
 
 
 def forward_sc_protocol(inst: IntersectScInstance) -> tuple[int, Transcript]:

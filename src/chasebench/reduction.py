@@ -283,11 +283,11 @@ class ShortCircuit:
 
 
 def _find_non_injective(inst: OrLpceInstance) -> tuple[int, int, int] | None:
-    for j, item in enumerate(inst.items):
-        for side, chase in enumerate((item.left, item.right)):
-            for i, f in enumerate(chase.funcs):
-                if is_r_non_injective(f, inst.r):
-                    return (j, side, i)
+    """(item, side, layer) of the first r-non-injective table in tables() order."""
+    for index, f in enumerate(inst.tables()):
+        if is_r_non_injective(f, inst.r):
+            item, player = divmod(index, 2 * inst.p)
+            return (item, *divmod(player, inst.p))
     return None
 
 

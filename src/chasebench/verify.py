@@ -423,9 +423,7 @@ def _suite_gadgets(seed: int, trials: Optional[int]) -> list[CheckResult]:
             bip_bad += 1
         for g in (dist, reach, match):
             rt_bad += gadgets.parse_stream(gadgets.serialize_stream(g)) != g
-        ne_bad += dist.ne != sum(
-            tab.total_image_size() for side in (inst.left, inst.right) for tab in side.funcs
-        )
+        ne_bad += dist.ne != sum(tab.total_image_size() for tab in inst.tables())
     rows.append(CheckResult("gadgets", "oracle-mismatches", mism, "=0", mism == 0))
     rows.append(CheckResult("gadgets", "distance-floor-violations", floor_bad, "=0", floor_bad == 0))
     rows.append(CheckResult("gadgets", "non-bipartite-matching-gadgets", bip_bad, "=0", bip_bad == 0))
