@@ -14,7 +14,14 @@ import numpy as np
 
 from .errors import StreamFormatError
 from .games import IntersectScInstance
-from .util import FrozenRecord, format_canonical_rows, frozen_copy, scan_canonical_rows, stable_order
+from .util import (
+    FrozenRecord,
+    exact_int,
+    format_canonical_rows,
+    frozen_copy,
+    scan_canonical_rows,
+    stable_order,
+)
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -48,6 +55,8 @@ class GraphStream(FrozenRecord):
     edges: np.ndarray
 
     def __post_init__(self):
+        for name in ("nv", "src", "dst", "p"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.nv < 1:
             raise ValueError("nv must be positive")
         if self.nv > _INT64_MAX:

@@ -14,12 +14,11 @@ labels shifted down).  Serializers in `gameio` keep the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import FrozenRecord, frozen_copy
+from .util import FrozenRecord, exact_int, frozen_copy
 
 __all__ = [
     "FunctionTable",
@@ -59,6 +58,7 @@ class FunctionTable(FrozenRecord):
     image: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", exact_int(self.n, "n"))
         if self.n < 1:
             raise ValueError("ground set must be nonempty")
         object.__setattr__(self, "image", frozen_copy(self.image, np.int64))
@@ -95,6 +95,7 @@ class SetFunctionTable(FrozenRecord):
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", exact_int(self.n, "n"))
         if self.n < 1:
             raise ValueError("ground set must be nonempty")
         offsets = frozen_copy(self.offsets, np.int64)
@@ -125,7 +126,7 @@ class SetFunctionTable(FrozenRecord):
     def from_sets(cls, n: int, sets: Sequence[Iterable[int]]) -> "SetFunctionTable":
         if len(sets) != n:
             raise ValueError("need exactly one image set per ground-set element")
-        rows = [sorted(set(int(y) for y in s)) for s in sets]
+        rows = [sorted(set(s)) for s in sets]  # the constructor refuses 1.5 as a value
         return cls(n, np.cumsum([0, *map(len, rows)]), [y for row in rows for y in row])
 
     @classmethod
@@ -150,6 +151,8 @@ class _Chase:
     """Base of the one-chase games: p tables over [0, n), funcs[0] outermost."""
 
     def __post_init__(self):
+        for name in ("n", "p"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         object.__setattr__(self, "funcs", tuple(self.funcs))
         if self.p < 1:
             raise ValueError("need at least one layer")
@@ -243,6 +246,7 @@ class LpceInstance(_TwoChases):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "r", exact_int(self.r, "r"))
         if self.r < 1:
             raise ValueError("escape threshold r must be positive")
 
@@ -255,6 +259,7 @@ class OrLpceInstance:
     items: tuple[LpceInstance, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "t", exact_int(self.t, "t"))
         object.__setattr__(self, "items", tuple(self.items))
         if self.t < 1 or len(self.items) != self.t:
             raise ValueError("need exactly t >= 1 items")
@@ -330,11 +335,10 @@ def vec_apply(f: SetFunctionTable, s: Iterable[int]) -> frozenset[int]:
     """Union of f's image sets over the elements of s."""
     mask = np.zeros(f.n, dtype=bool)
     for x in s:
-        if not (isinstance(x, Integral) or isinstance(x, Real) and float(x).is_integer()):
-            raise ValueError(f"element {x!r} is not an integer")
+        x = exact_int(x, "element")
         if not 0 <= x < f.n:
-            raise ValueError(f"element {int(x)} outside [0, {f.n})")
-        mask[int(x)] = True
+            raise ValueError(f"element {x} outside [0, {f.n})")
+        mask[x] = True
     return frozenset(np.flatnonzero(_step(f, mask)).tolist())
 
 

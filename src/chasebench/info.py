@@ -65,9 +65,6 @@ class FiniteDistribution(FrozenRecord):
             raise ValueError("uniform distribution needs n >= 1")
         return cls(np.full(n, 1.0 / n))
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0)
-
 
 def entropy(d: FiniteDistribution) -> float:
     """Shannon entropy in bits, with 0*log(0) = 0."""
@@ -91,7 +88,7 @@ def mutual_information(joint: np.ndarray) -> float:
     j = np.asarray(joint, dtype=np.float64)
     if j.ndim != 2:
         raise ValueError("joint must be a 2-d table")
-    if (j < 0).any() or abs(float(j.sum()) - 1.0) > _NORM_TOL:
+    if not np.isfinite(j).all() or (j < 0).any() or abs(float(j.sum()) - 1.0) > _NORM_TOL:
         raise ValueError("joint table is not a probability distribution")
     px = j.sum(axis=1)
     py = j.sum(axis=0)
@@ -120,7 +117,9 @@ def check_almost_uniform(
     d: FiniteDistribution, s: Iterable[int], delta: float
 ) -> AlmostUniformReport:
     """Check Pr[X in S] >= (|S|/n)(1 - Delta) for an H(X) >= log n - delta variable."""
-    idx = np.unique(np.fromiter(s, dtype=np.int64))
+    if not delta >= 0:  # NaN fails this too
+        raise ValueError(f"delta must be a non-negative number, got {delta!r}")
+    idx = np.unique(frozen_copy(s if isinstance(s, np.ndarray) else list(s), np.int64))
     if idx.size and (idx[0] < 0 or idx[-1] >= d.n):
         raise ValueError("set element outside the distribution's domain")
     deficit = math.log2(d.n) - entropy(d)

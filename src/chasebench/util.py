@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,6 +63,15 @@ def bitmap_to_str(mask: np.ndarray) -> str:
 
 def str_to_bitmap(bits: str) -> np.ndarray:
     return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
+
+
+def exact_int(value, name: str) -> int:
+    """`value` as a Python int, if it is an integer or a real number equal
+    to one (2.0, numpy integers); anything else (1.5, NaN, inf, a string)
+    raises ValueError naming `name`."""
+    if isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} {value!r} is not an integer")
 
 
 def frozen_copy(values, dtype) -> np.ndarray:

@@ -232,14 +232,7 @@ def test_criterion_09_threshold_validation(announce):
     mc_ok = True
     rates = []
     for n in (8, 16, 32):
-        r = info.c_star_threshold(n)
-        rng = derive_rng(109, n)
-        samples = 200_000
-        f = np.sort(rng.integers(0, n, size=(samples, n)), axis=1)
-        collided = (f[:, r - 1:] == f[:, : n - r + 1]).any(axis=1)
-        rate = float(collided.mean())
-        cap = 1.0 / (2 * n * n)
-        cap += 3 * math.sqrt(cap * (1 - cap) / samples)
+        rate, cap = verify.c_star_rate(derive_rng(109, n), n, 200_000)
         rates.append(f"n={n}: {rate:.2e} <= {cap:.2e}")
         mc_ok &= rate <= cap
     announce(9, exact_ok and mc_ok, f"exact thresholds n=2..12; MC {'; '.join(rates)}")

@@ -222,6 +222,12 @@ def test_set_function_table_round_trips_rows():
     assert f.total_image_size() == 7
 
 
+def test_from_sets_refuses_non_integer_elements():
+    with pytest.raises(ValueError, match="change under the cast"):
+        cb.SetFunctionTable.from_sets(3, [[1.5], [2.9], [0]])
+    assert cb.SetFunctionTable.from_sets(3, [[2.0, 1], [], {np.int64(0)}]) == set_table(3, [[1, 2], [], [0]])
+
+
 def test_instance_shape_validation():
     ident = cb.FunctionTable.identity(3)
     with pytest.raises(ValueError):

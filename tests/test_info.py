@@ -109,6 +109,27 @@ def test_mutual_information_hand_values():
     assert cb.mutual_information(half) == pytest.approx(hx + hy - hxy)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mutual_information_refuses_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="not a probability distribution"):
+        cb.mutual_information([[bad, 0.0], [0.0, 1.0]])
+
+
+def test_almost_uniform_refuses_non_integer_elements_and_a_bad_delta():
+    d = cb.FiniteDistribution.uniform(8)
+    with pytest.raises(ValueError, match="change under the cast"):
+        cb.check_almost_uniform(d, [1.5, 2.7, 3.2, 4.9], 1e-4)
+    with pytest.raises(ValueError, match="change under the cast"):
+        cb.check_almost_uniform(d, np.array([0.0, 1.5]), 1e-4)
+    for delta in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="delta must be a non-negative number"):
+            cb.check_almost_uniform(d, [1, 2], delta)
+    # integral values of any type, from any iterable, count as their ints
+    want = cb.check_almost_uniform(d, [1, 2, 3, 4], 1e-4)
+    for s in ([1.0, 2, np.int64(3), 4], {1, 2, 3, 4}, iter([4, 3, 2, 1, 1]), np.array([1, 2, 3, 4])):
+        assert cb.check_almost_uniform(d, s, 1e-4) == want
+
+
 def test_almost_uniform_gate_and_bound():
     delta = 48.0**-2
     d = tilted(64, delta / 2)

@@ -1,4 +1,6 @@
 """Self-check suites: CSV schema, determinism, and mutation sensitivity."""
+import math
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,17 @@ def test_tilted_stops_early_on_the_same_distribution():
             for delta in (1e-9, 1e-6, 4e-4, 0.01, 0.1, 0.3, 0.5, 0.99)]
     for n, delta in grid:
         assert verify.tilted(n, delta).probs.tobytes() == reference_tilted(n, delta).tobytes(), (n, delta)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_c_star_rate_equals_one_draw_per_function(n):
+    # the bulk draw gives the rows that `samples` per-function draws give
+    r = cb.c_star_threshold(n)
+    for seed in range(12):
+        for samples in (1, 37, 200):
+            rng = cb.derive_rng(seed, 0, 8)
+            hits = sum(cb.is_r_non_injective(cb.sample_uniform_function(n, rng), r) for _ in range(samples))
+            rate, cap = verify.c_star_rate(cb.derive_rng(seed, 0, 8), n, samples)
+            assert rate == hits / samples
+            base = 1.0 / (2 * n * n)
+            assert cap == base + 3 * math.sqrt(base * (1 - base) / samples)
