@@ -57,6 +57,9 @@ class GraphStream(FrozenRecord):
     def __post_init__(self):
         for name in ("nv", "src", "dst", "p"):
             object.__setattr__(self, name, exact_int(getattr(self, name), name))
+        if not isinstance(self.directed, (bool, np.bool_)):
+            raise ValueError(f"directed must be a bool, got {self.directed!r}")
+        object.__setattr__(self, "directed", bool(self.directed))
         if self.nv < 1:
             raise ValueError("nv must be positive")
         if self.nv > _INT64_MAX:

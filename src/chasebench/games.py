@@ -126,7 +126,7 @@ class SetFunctionTable(FrozenRecord):
     def from_sets(cls, n: int, sets: Sequence[Iterable[int]]) -> "SetFunctionTable":
         if len(sets) != n:
             raise ValueError("need exactly one image set per ground-set element")
-        rows = [sorted(set(s)) for s in sets]  # the constructor refuses 1.5 as a value
+        rows = [sorted(set(s)) for s in sets]  # no int(): the constructor's exact cast refuses 1.5
         return cls(n, np.cumsum([0, *map(len, rows)]), [y for row in rows for y in row])
 
     @classmethod

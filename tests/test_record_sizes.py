@@ -18,7 +18,7 @@ ACCEPTED = {
     "stream-dst-float": lambda: cb.GraphStream(3, False, 0, 2.0, 0, EDGE),
     "stream-src-bool": lambda: cb.GraphStream(3, False, True, 2, 0, EDGE),
     "stream-numpy-ints": lambda: cb.GraphStream(
-        np.int64(3), False, np.uint8(0), 2, np.int32(1), EDGE
+        np.int64(3), np.bool_(True), np.uint8(0), 2, np.int32(1), EDGE
     ),
     "sc-p-float": lambda: cb.ScInstance(2, 1.0, (cb.SetFunctionTable.identity(2),)),
     "pc-n-float": lambda: cb.PcInstance(2.0, 1, (cb.FunctionTable(2.0, [0, 1]),)),
@@ -29,6 +29,8 @@ REFUSED = {
     "stream-nv-fraction": lambda: cb.GraphStream(3.5, False, 0, 2, 0, EDGE),
     "stream-src-nan": lambda: cb.GraphStream(3, False, float("nan"), 2, 0, EDGE),
     "stream-dst-string": lambda: cb.GraphStream(3, False, 0, "2", 0, EDGE),
+    "stream-directed-string": lambda: cb.GraphStream(3, "no", 0, 2, 0, EDGE),
+    "stream-directed-int": lambda: cb.GraphStream(3, 1, 0, 2, 0, EDGE),
     "function-n-inf": lambda: cb.FunctionTable(float("inf"), [0]),
     "set-table-n-fraction": lambda: cb.SetFunctionTable(1.5, [0, 1], [0]),
     "sc-p-fraction": lambda: cb.ScInstance(2, 1.5, (cb.SetFunctionTable.identity(2),)),
@@ -54,6 +56,7 @@ def test_integral_sizes_are_stored_as_ints_and_written_back(make):
     record = make()
     names = ("nv", "src", "dst", "p") if isinstance(record, cb.GraphStream) else ("n", "p")
     assert all(type(getattr(record, name)) is int for name in names)
+    assert type(getattr(record, "directed", False)) is bool
     text, back = _round_trip(record)
     assert back == record and _round_trip(back)[0] == text
     if isinstance(record, cb.GraphStream):
@@ -62,7 +65,7 @@ def test_integral_sizes_are_stored_as_ints_and_written_back(make):
 
 @pytest.mark.parametrize("make", REFUSED.values(), ids=REFUSED.keys())
 def test_non_integral_sizes_are_refused(make):
-    with pytest.raises(ValueError, match="is not an integer"):
+    with pytest.raises(ValueError, match="is not an integer|must be a bool"):
         make()
 
 
@@ -86,7 +89,8 @@ def test_every_accepted_stream_round_trips(data):
     spelled = [_loose(draw, value) for value in sizes]
     nv_, src, dst, p = [value for value, _ in spelled]
     try:
-        stream = cb.GraphStream(nv_, draw(st.booleans()), src, dst, p, np.array(edges).reshape(-1, 2))
+        directed = draw(st.sampled_from([False, True, np.bool_(False), np.bool_(True)]))
+        stream = cb.GraphStream(nv_, directed, src, dst, p, np.array(edges).reshape(-1, 2))
     except ValueError:
         assert not all(ok for _, ok in spelled)
         return
