@@ -179,7 +179,7 @@ def _upward(inst: IntersectScInstance, low_id, high_id) -> np.ndarray:
     """
     k, q = inst.n, inst.p
     block, slots = _table_edges(inst)
-    right = int(np.searchsorted(block, q))  # the first right-table edge
+    right = sum([t.values.size for t in inst.tables()[:q]])  # the left tables' edges
     slots[:, right:] = slots[::-1, right:]
     domain, image = _block_columns(q)
     lower = domain[:q] + image[q:]

@@ -69,6 +69,8 @@ def exact_int(value, name: str) -> int:
     """`value` as a Python int, if it is an integer or a real number equal
     to one (2.0, numpy integers); anything else (1.5, NaN, inf, a string)
     raises ValueError naming `name`."""
+    if type(value) is int:  # the usual case, spared the slower ABC checks below
+        return value
     if isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer():
         return int(value)
     raise ValueError(f"{name} {value!r} is not an integer")
