@@ -223,7 +223,8 @@ class _UnionFind(StreamingAlgorithm):
     def run_pass(self, edges: np.ndarray) -> Optional[int]:
         a = np.concatenate((edges[:, 0], np.arange(self.n)))
         b = np.concatenate((edges[:, 1], self.root))
-        graph = csr_matrix((np.ones(a.size, dtype=bool), (a, b)), shape=(self.n, self.n))
+        # float64 data: csgraph copies any other dtype into float64 first
+        graph = csr_matrix((np.ones(a.size), (a, b)), shape=(self.n, self.n))
         _, label = connected_components(graph, directed=False)
         # the first vertex of each label is its component's smallest
         self.root = np.unique(label, return_index=True)[1][label]

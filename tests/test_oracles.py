@@ -149,8 +149,9 @@ def _nx_graph(s):
 
 
 def _nx_two_color(s):
-    """Parity of the BFS distance from each component's lowest vertex."""
-    g = _nx_graph(s)
+    """Parity of the BFS distance from each component's lowest vertex,
+    ignoring edge direction."""
+    g = _nx_graph(s).to_undirected(as_view=True)
     color = np.zeros(s.nv, dtype=np.int8)
     for component in nx.connected_components(g):
         for x, d in nx.single_source_shortest_path_length(g, min(component)).items():
@@ -201,28 +202,6 @@ def sampled_gadgets():
             cb.build_matching_gadget(inst),
         ))
     return tuple(triples)
-
-
-def test_oracles_agree_with_networkx_on_sampled_gadgets():
-    answers = set()
-    for dist, reach, match in sampled_gadgets():
-        g = _nx_graph(dist)
-        want = (
-            nx.shortest_path_length(g, dist.src, dist.dst)
-            if nx.has_path(g, dist.src, dist.dst)
-            else math.inf
-        )
-        assert cb.oracle_distance(dist) == want
-
-        reachable = int(nx.has_path(_nx_graph(reach), reach.src, reach.dst))
-        assert cb.oracle_reachable(reach) == reachable
-
-        g = _nx_graph(match)
-        top = [v for v, side in nx.bipartite.color(g).items() if side == 0]
-        matched = nx.bipartite.hopcroft_karp_matching(g, top_nodes=top)
-        assert cb.oracle_perfect_matching(match) == int(len(matched) == match.nv)
-        answers.add(reachable)
-    assert answers == {0, 1}
 
 
 # ------------------------------------------- the traversals _bfs replaced
@@ -365,3 +344,106 @@ def test_oracles_past_16_bit_vertex_ids():
     backwards = cb.GraphStream(nv, True, 0, nv - 1, 0, edges[:, ::-1])
     assert cb.oracle_reachable(backwards) == 0
     assert cb.oracle_distance(cb.GraphStream(nv, True, nv - 1, 0, 0, edges[:, ::-1])) == nv - 1
+
+
+# ------------------------------------------- the list and csgraph kernels
+
+ORACLES = (cb.oracle_distance, cb.oracle_reachable, cb.two_color, cb.oracle_perfect_matching)
+
+
+def _outcome(oracle, stream):
+    """An oracle's answer, its coloring as a list, or its error message."""
+    try:
+        answer = oracle(stream)
+    except ValueError as err:
+        return str(err)
+    if isinstance(answer, np.ndarray):
+        assert answer.dtype == np.int8
+        return answer.tolist()
+    return answer
+
+
+def _nx_outcomes(s):
+    """The outcome of each of ORACLES on s, by networkx."""
+    g = _nx_graph(s)
+    distance = nx.shortest_path_length(g, s.src, s.dst) if nx.has_path(g, s.src, s.dst) else math.inf
+    undirected = g.to_undirected(as_view=True)
+    bipartite = nx.is_bipartite(undirected)
+    coloring = _nx_two_color(s).tolist() if bipartite else "graph is not bipartite"
+    if s.directed:
+        matching = "matching oracle needs an undirected stream"
+    elif s.nv % 2:
+        matching = 0
+    elif not bipartite:
+        matching = coloring
+    else:
+        top = [x for x in range(s.nv) if coloring[x] == 0]
+        matching = int(len(nx.bipartite.hopcroft_karp_matching(undirected, top_nodes=top)) == s.nv)
+    return distance, int(distance < math.inf), coloring, matching
+
+
+def _path(nv, directed=False, src=0, dst=None):
+    """The path 0 - 1 - ... - nv-1, its edges listed last first."""
+    edges = np.column_stack([np.arange(nv - 1), np.arange(1, nv)])
+    return cb.GraphStream(nv, directed, src, nv - 1 if dst is None else dst, 0, edges[::-1])
+
+
+def kernel_streams():
+    """Streams for the kernel comparison, on both sides of the edge count
+    that chooses the kernel."""
+    rng = cb.derive_rng(75)
+    streams = [s for triple in sampled_gadgets() for s in triple] + random_graphs()
+    streams += [_path(300), _path(300, True, 299, 0)]
+    inst = cb.sample_intersect_sc(400, 3, rng, include_prob=0.02)
+    streams += [cb.build_distance_gadget(inst), cb.build_reachability_gadget(inst),
+                cb.build_matching_gadget(inst)]
+    # repeated edges in both orientations, where csgraph's strong components
+    # never return, on 2 vertices and above the kernel threshold; then with an
+    # odd cycle (GraphStream refuses the other odd cycle, a self-loop)
+    streams.append(_stream(2, False, [(0, 1), (1, 0), (0, 1), (1, 0)]))
+    side = np.arange(400) % 2
+    pairs = np.array([(a, b) for a, b in combinations(range(400), 2) if side[a] != side[b]])
+    pairs = pairs[rng.random(len(pairs)) < 0.02]
+    repeated = np.concatenate([pairs, pairs[:, ::-1], pairs[: len(pairs) // 2]])
+    streams.append(_stream(400, False, repeated))
+    streams.append(_stream(400, False, [*repeated, (0, 2), (2, 4), (4, 0)]))
+    return streams
+
+
+def test_both_kernels_agree_with_each_other_and_with_networkx(monkeypatch):
+    calls = []
+    for name in ("breadth_first_order", "connected_components"):
+        library = getattr(oracles, name)
+        monkeypatch.setattr(oracles, name, lambda *a, library=library, **kw: calls.append(1) or library(*a, **kw))
+    streams = kernel_streams()
+    assert {s.ne >= oracles.CSGRAPH_MIN_EDGES for s in streams} == {False, True}
+    assert min(s.ne for s in streams[-2:]) >= oracles.CSGRAPH_MIN_EDGES
+    results = []
+    for s in streams:
+        outcomes = []
+        for min_edges in (math.inf, 0):
+            monkeypatch.setattr(oracles, "CSGRAPH_MIN_EDGES", min_edges)
+            del calls[:]
+            outcomes.append([_outcome(oracle, s) for oracle in ORACLES])
+            # the threshold chose the kernel: the list BFS calls no csgraph
+            assert bool(calls) == (min_edges == 0)
+        results.append(_nx_outcomes(s))
+        assert outcomes[0] == outcomes[1] == list(results[-1])
+    # every answer and both coloring outcomes occur
+    assert {r[1] for r in results} == {0, 1}
+    assert {r[3] for r in results} >= {0, 1, "graph is not bipartite"}
+    assert any(r[2] == "graph is not bipartite" for r in results)
+
+
+@pytest.mark.parametrize("min_edges", [math.inf, 0])
+def test_both_kernels_on_70000_vertex_paths(monkeypatch, min_edges):
+    # networkx would take seconds here; the answers are known
+    monkeypatch.setattr(oracles, "CSGRAPH_MIN_EDGES", min_edges)
+    nv = 70_000
+    path = _path(nv)
+    assert [_outcome(oracle, path) for oracle in ORACLES] == [
+        nv - 1, 1, (np.arange(nv) % 2).tolist(), 1
+    ]
+    assert _outcome(cb.oracle_distance, _path(nv, True)) == nv - 1
+    assert _outcome(cb.oracle_reachable, _path(nv, True, nv - 1, 0)) == 0
+    assert _outcome(cb.oracle_distance, _path(nv, False, nv - 1, 1)) == nv - 2
