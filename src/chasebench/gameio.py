@@ -247,5 +247,8 @@ def _parse_game_lines(text: str):
     extra = _BY_KIND[kind][1]
     if any(key not in fields for key in extra):
         raise GameFormatError(f"line 1: kind={kind} requires {' and '.join(extra)}")
+    unused = [key for key in fields if key not in ("kind", "n", "p", *extra)]
+    if unused:
+        raise GameFormatError(f"line 1: kind={kind} takes no header key {unused[0]!r}")
     cls, sizes, count, set_valued = _layout(kind, fields)
     return cls.from_tables(_parse_tables(body, end, sizes["n"], count, set_valued), **sizes)

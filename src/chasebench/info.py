@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .util import FrozenRecord, frozen_copy
+from .util import FrozenRecord, exact_int, frozen_copy
 
 __all__ = [
     "FiniteDistribution",
@@ -61,6 +61,7 @@ class FiniteDistribution(FrozenRecord):
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteDistribution":
+        n = exact_int(n, "n")
         if n < 1:
             raise ValueError("uniform distribution needs n >= 1")
         return cls(np.full(n, 1.0 / n))

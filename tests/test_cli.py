@@ -554,3 +554,7 @@ def test_malformed_game_file_exits_2(capsys, tmp_path):
     bad.write_text("scgame v1 kind=lpce n=2 p=1 r=oops\n")
     code, _, err = run_cli(capsys, "solve-protocol", "--input", str(bad), "--alg", "forward")
     assert code == 2 and "parse error" in err
+    # a header key the kind does not use is a parse error too
+    bad.write_text("scgame v1 kind=pc n=2 p=1 r=3 t=9 foo=bar\ntable 0\n0: 1\n1: 0\n")
+    code, stdout, err = run_cli(capsys, "solve-protocol", "--input", str(bad), "--alg", "forward")
+    assert code == 2 and stdout == "" and "takes no header key 'r'" in err

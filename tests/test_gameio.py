@@ -129,6 +129,12 @@ def test_golden_game_file_parses_and_reserializes():
         ("scgame v1 kind=mystery n=2 p=1\ntable 0\n0: 0\n1: 0\n", "unknown kind"),
         ("scgame v1 kind=lpce n=2 p=1\n", "requires r"),
         ("scgame v1 kind=orlpce n=2 p=1 r=2\n", "requires r and t"),
+        # a header key the kind does not use is refused, not dropped
+        ("scgame v1 kind=pc n=2 p=1 r=3\ntable 0\n0: 1\n1: 0\n", "takes no header key 'r'"),
+        ("scgame v1 kind=pc n=2 p=1 t=9\ntable 0\n0: 1\n1: 0\n", "takes no header key 't'"),
+        ("scgame v1 kind=intersectsc n=1 p=1 r=2\ntable 0\n0:\ntable 1\n0:\n", "takes no header key 'r'"),
+        ("scgame v1 kind=pc n=2 p=1 foo=bar\ntable 0\n0: 1\n1: 0\n", "takes no header key 'foo'"),
+        ("scgame v1 kind=pc n=2 p=1 r=3 t=9 foo=bar\ntable 0\n0: 1\n1: 0\n", "line 1: kind=pc takes no header key 'r'"),
         ("scgame v1 kind=pc n=2 p=1\ntable 1\n0: 0\n1: 0\n", "expected 'table 0'"),
         ("scgame v1 kind=pc n=2 p=1\ntable 0\n1: 0\n0: 0\n", "ascending"),
         ("scgame v1 kind=pc n=2 p=1\ntable 0\n0: 2\n1: 0\n", "outside"),

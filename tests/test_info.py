@@ -77,6 +77,14 @@ def test_distribution_validation():
     assert u != cb.FiniteDistribution(np.array([0.25, 0.25, 0.5, 0.0]))
 
 
+def test_uniform_takes_integral_sizes_only():
+    assert cb.FiniteDistribution.uniform(3.0) == cb.FiniteDistribution.uniform(3)
+    assert cb.FiniteDistribution.uniform(np.int64(3)) == cb.FiniteDistribution.uniform(3)
+    for bad_n in (2.5, float("nan"), "3"):
+        with pytest.raises(ValueError, match=r"^n .* is not an integer"):
+            cb.FiniteDistribution.uniform(bad_n)
+
+
 def test_entropy_hand_values():
     assert cb.entropy(cb.FiniteDistribution.uniform(16)) == pytest.approx(4.0)
     assert cb.entropy(cb.FiniteDistribution(np.array([1.0, 0.0]))) == pytest.approx(0.0)
