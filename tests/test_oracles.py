@@ -399,7 +399,7 @@ def kernel_streams():
                 cb.build_matching_gadget(inst)]
     # repeated edges in both orientations, where csgraph's strong components
     # never return, on 2 vertices and above the kernel threshold; then with an
-    # odd cycle (GraphStream refuses the other odd cycle, a self-loop)
+    # odd cycle, and with a self-loop
     streams.append(_stream(2, False, [(0, 1), (1, 0), (0, 1), (1, 0)]))
     side = np.arange(400) % 2
     pairs = np.array([(a, b) for a, b in combinations(range(400), 2) if side[a] != side[b]])
@@ -407,7 +407,20 @@ def kernel_streams():
     repeated = np.concatenate([pairs, pairs[:, ::-1], pairs[: len(pairs) // 2]])
     streams.append(_stream(400, False, repeated))
     streams.append(_stream(400, False, [*repeated, (0, 2), (2, 4), (4, 0)]))
+    streams.append(_unchecked_stream(400, [*repeated, (5, 5)]))
     return streams
+
+
+def _unchecked_stream(nv, edges):
+    """An undirected 0 -> nv-1 stream that skips GraphStream's checks, which
+    refuse a self-loop."""
+    with pytest.raises(ValueError, match="self-loop"):
+        _stream(nv, False, edges)
+    stream = object.__new__(cb.GraphStream)
+    fields = dict(nv=nv, directed=False, src=0, dst=nv - 1, p=0, edges=np.array(edges, dtype=np.int64))
+    for name, value in fields.items():
+        object.__setattr__(stream, name, value)
+    return stream
 
 
 def test_both_kernels_agree_with_each_other_and_with_networkx(monkeypatch):
@@ -417,7 +430,7 @@ def test_both_kernels_agree_with_each_other_and_with_networkx(monkeypatch):
         monkeypatch.setattr(oracles, name, lambda *a, library=library, **kw: calls.append(1) or library(*a, **kw))
     streams = kernel_streams()
     assert {s.ne >= oracles.CSGRAPH_MIN_EDGES for s in streams} == {False, True}
-    assert min(s.ne for s in streams[-2:]) >= oracles.CSGRAPH_MIN_EDGES
+    assert min(s.ne for s in streams[-3:]) >= oracles.CSGRAPH_MIN_EDGES
     results = []
     for s in streams:
         outcomes = []
