@@ -108,19 +108,20 @@ def run_streaming(alg: StreamingAlgorithm, stream: GraphStream, pass_budget: int
     return RunReport(answer if answer is None else int(answer), passes, max_bits)
 
 
-def _pack_masks(level: int, *masks: np.ndarray) -> bytes:
-    payload = b"".join(np.packbits(m).tobytes() for m in masks)
-    return struct.pack("<I", level) + payload
+def _pack_masks(level: int, masks: np.ndarray) -> bytes:
+    """The little-endian 32-bit level word, then each row of the (count, nv)
+    bool array packed MSB-first into ceil(nv/8) bytes."""
+    return struct.pack("<I", level) + np.packbits(masks, axis=1).tobytes()
 
 
-def _unpack_masks(blob: bytes, n: int, count: int) -> tuple[int, list[np.ndarray]]:
-    (level,) = struct.unpack_from("<I", blob)
+def _unpack_masks(blob: bytes, n: int, count: int) -> tuple[int, np.ndarray]:
+    """Inverse of _pack_masks: the level and the (count, n) bool array."""
     step = (n + 7) // 8
-    masks = []
-    for i in range(count):
-        chunk = np.frombuffer(blob, dtype=np.uint8, count=step, offset=4 + i * step)
-        masks.append(np.unpackbits(chunk, count=n).astype(bool))
-    return level, masks
+    if len(blob) != 4 + count * step:
+        raise ValueError(f"state blob has {len(blob)} bytes, not 4 + {count}*{step}")
+    (level,) = struct.unpack_from("<I", blob)
+    rows = np.frombuffer(blob, dtype=np.uint8, offset=4).reshape(count, step)
+    return level, np.unpackbits(rows, axis=1, count=n).view(bool)
 
 
 def _reached(frontier: np.ndarray, edges: np.ndarray, directed: bool) -> np.ndarray:
@@ -138,14 +139,13 @@ class _LevelBfs(StreamingAlgorithm):
     """Decides dist(src, dst) <= D by growing one BFS level per pass, from
     src alone (forward-bfs) or from both endpoints at once (bidir-bfs).
 
-    Each ball keeps a visited mask and a frontier mask; ball 0 grows from
-    src and ball 1, when there is one, from dst.  Frontiers are frozen when
-    a pass begins, so after pass i each ball has radius exactly i,
-    independent of edge arrival order.  The forward ball holds dst iff the
-    distance is at most i, so a distance-D target costs D passes; two balls
-    meet iff it is at most 2i, so the two-sided run needs ceil(D/2) passes.
-    A ball that stops growing proves the answer 0: separate components
-    never meet.
+    visited and frontier are (balls, nv) masks, row 0 growing from src and
+    row 1, when there is one, from dst.  Frontiers are frozen when a pass
+    begins, so after pass i each ball has radius exactly i, independent of
+    edge arrival order.  The forward ball holds dst iff the distance is at
+    most i, so a distance-D target costs D passes; two balls meet iff it is
+    at most 2i, so the two-sided run needs ceil(D/2) passes.  A ball that
+    stops growing proves the answer 0: separate components never meet.
     """
 
     def __init__(self, distance_bound: int, bidirectional: bool):
@@ -165,10 +165,9 @@ class _LevelBfs(StreamingAlgorithm):
         self.dst = meta.dst
         self.directed = meta.directed
         self.level = 0
-        self.visited = [np.zeros(self.n, dtype=bool) for _ in range(self.balls)]
-        for vis, seed in zip(self.visited, (meta.src, meta.dst)):
-            vis[seed] = True
-        self.frontier = [vis.copy() for vis in self.visited]
+        self.visited = np.zeros((self.balls, self.n), dtype=bool)
+        self.visited[range(self.balls), (meta.src, meta.dst)[:self.balls]] = True
+        self.frontier = self.visited.copy()
         if meta.src == meta.dst:
             return 1
         if self.bound == 0:
@@ -177,19 +176,17 @@ class _LevelBfs(StreamingAlgorithm):
 
     def run_pass(self, edges: np.ndarray) -> Optional[int]:
         self.level += 1
-        self.frontier = [
-            _reached(fr, edges, self.directed) & ~vis for fr, vis in zip(self.frontier, self.visited)
-        ]
-        for vis, fr in zip(self.visited, self.frontier):
-            vis |= fr
-        if self.visited[0][self.dst] or (self.balls == 2 and (self.visited[0] & self.visited[1]).any()):
+        self.frontier = np.array([_reached(fr, edges, self.directed) for fr in self.frontier])
+        self.frontier &= ~self.visited
+        self.visited |= self.frontier
+        if self.visited[0, self.dst] or (self.balls == 2 and self.visited.all(axis=0).any()):
             return 1
-        if self.balls * self.level >= self.bound or not all(fr.any() for fr in self.frontier):
+        if self.balls * self.level >= self.bound or not self.frontier.any(axis=1).all():
             return 0
         return None
 
     def serialize_state(self) -> bytes:
-        return _pack_masks(self.level, *self.visited, *self.frontier)
+        return _pack_masks(self.level, np.concatenate((self.visited, self.frontier)))
 
     def restore_state(self, blob: bytes) -> None:
         self.level, masks = _unpack_masks(blob, self.n, 2 * self.balls)
@@ -235,6 +232,8 @@ class _UnionFind(StreamingAlgorithm):
 
     def restore_state(self, blob: bytes) -> None:
         self.root = unpack_uints(blob, self.width, self.n)
+        if np.any(self.root >= self.n):
+            raise ValueError("state blob holds a root beyond the last vertex")
 
 
 class _DirectedFrontier(StreamingAlgorithm):
@@ -298,11 +297,10 @@ class _DirectedFrontier(StreamingAlgorithm):
         return None
 
     def serialize_state(self) -> bytes:
-        return _pack_masks(0, self.vis)
+        return _pack_masks(0, self.vis[None])
 
     def restore_state(self, blob: bytes) -> None:
-        _, masks = _unpack_masks(blob, self.n, 1)
-        (self.vis,) = masks
+        _, (self.vis,) = _unpack_masks(blob, self.n, 1)
 
 
 def alg_bidirectional_bfs(distance_bound: int) -> StreamingAlgorithm:

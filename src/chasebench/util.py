@@ -32,9 +32,13 @@ def pack_uints(values, width: int) -> bytes:
 
 
 def unpack_uints(blob: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of pack_uints for a known element count."""
+    """Inverse of pack_uints for a known element count: the blob must be
+    exactly the ceil(count * width / 8) bytes that pack_uints writes."""
     if width <= 0:
         raise ValueError("width must be positive")
+    size = (count * width + 7) // 8
+    if len(blob) != size:
+        raise ValueError(f"blob has {len(blob)} bytes, not the {size} of {count} {width}-bit words")
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=count * width)
     out = np.zeros(count, dtype=np.uint64)
     for b in range(width):
