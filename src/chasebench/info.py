@@ -299,6 +299,7 @@ def c_star_threshold(n: int) -> int:
     the union bound n*C(n,r)/n^r certifies the probability, which can only
     overshoot r by a little (safe direction for the escape threshold).
     """
+    n = exact_int(n, "n")
     if n < 2:
         raise ValueError("threshold needs n >= 2")
     r = 1

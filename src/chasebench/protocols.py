@@ -13,7 +13,7 @@ from typing import Any, Callable, Sequence
 
 from .errors import ProtocolError
 from .games import IntersectScInstance, SetFunctionTable, _start, _step
-from .util import bitmap_to_str, str_to_bitmap
+from .util import bitmap_to_str, exact_int, str_to_bitmap
 
 __all__ = [
     "Schedule",
@@ -36,6 +36,8 @@ class Schedule:
     order: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for name in ("players", "rounds"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         object.__setattr__(self, "order", tuple(tuple(rnd) for rnd in self.order))
         if self.players < 1:
             raise ProtocolError("need at least one player")
@@ -55,6 +57,7 @@ class Schedule:
     @classmethod
     def standard(cls, players: int, rounds: int) -> "Schedule":
         """Every round runs player 0 through players-1 in order."""
+        players, rounds = exact_int(players, "players"), exact_int(rounds, "rounds")
         return cls(players, rounds, tuple(tuple(range(players)) for _ in range(rounds)))
 
 
@@ -181,6 +184,7 @@ def set_message_bits(transcript: Transcript, n: int) -> int:
     Set messages are n or n+1 bits long (the final speaker appends the answer
     bit), placeholders are 1 bit, so lengths distinguish them for n >= 2.
     """
+    n = exact_int(n, "n")
     if n < 2:
         raise ValueError("set-message accounting requires n >= 2")
     return sum(n for _, _, bits in transcript.messages if len(bits) >= n)

@@ -25,7 +25,7 @@ from .games import (
     is_r_non_injective,
 )
 from .protocols import Transcript
-from .util import FrozenRecord, frozen_copy
+from .util import FrozenRecord, exact_int, frozen_copy
 
 __all__ = [
     "ReductionParams",
@@ -45,6 +45,7 @@ __all__ = [
 
 def feasible(n: int, p: int, r: int, t: int) -> bool:
     """Exact check of the soundness budget: 10 * t^(2p) * r^(p-1) <= n."""
+    n, p, r, t = (exact_int(value, name) for value, name in zip((n, p, r, t), "nprt"))
     # unless t = r = 1, t^(2p) * r^(p-1) >= 2^(p-1) > n once p exceeds n's bit
     # length, so a huge p is refused before its power is built
     if p > n.bit_length() and max(t, r) >= 2 and min(t, r) >= 1:
@@ -62,6 +63,8 @@ class ReductionParams:
     t: int
 
     def __post_init__(self):
+        for name in ("n", "p", "r", "t"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if min(self.n, self.p, self.r, self.t) < 1:
             raise ValueError("parameters must be positive")
         if not feasible(self.n, self.p, self.r, self.t):
@@ -78,6 +81,7 @@ def choose_params(n: int, p: int, r: int) -> ReductionParams:
     the budget is only evaluated at widths up to max(1, 2t), which keeps the
     powers small when p is large.  Raises when even t=1 does not fit.
     """
+    n, p, r = (exact_int(value, name) for value, name in zip((n, p, r), "npr"))
     if n < 1 or p < 1 or r < 1:
         raise ValueError("parameters must be positive")
 
@@ -115,6 +119,7 @@ class PermutationFamily(FrozenRecord):
     rho: np.ndarray  # shape (t, p, n)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", exact_int(self.n, "n"))
         pi = frozen_copy(self.pi, np.int64)
         rho = frozen_copy(self.rho, np.int64)
         object.__setattr__(self, "pi", pi)
@@ -163,6 +168,7 @@ def sample_permutation_family(
     Draw order per item: shared layer first, then remaining left layers, then
     remaining right layers, so a fixed seed pins the whole family.
     """
+    n, p, t = (exact_int(value, name) for value, name in zip((n, p, t), "npt"))
     pi, rho = [], []
     for _ in range(t):
         shared = rng.permutation(n)

@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .gadgets import GraphStream
-from .util import pack_uints, unpack_uints
+from .util import exact_int, pack_uints, unpack_uints
 
 __all__ = [
     "StreamMeta",
@@ -96,6 +96,7 @@ def run_streaming(alg: StreamingAlgorithm, stream: GraphStream, pass_budget: int
     passes_used == i.  max_state_bits is the largest serialized state seen
     at any boundary (after init and after every pass).
     """
+    pass_budget = exact_int(pass_budget, "pass budget")
     if pass_budget < 0:
         raise ValueError("pass budget must be non-negative")
     answer = alg.init(StreamMeta.of(stream))
@@ -149,6 +150,7 @@ class _LevelBfs(StreamingAlgorithm):
     """
 
     def __init__(self, distance_bound: int, bidirectional: bool):
+        distance_bound = exact_int(distance_bound, "distance bound")
         if bidirectional and (distance_bound < 0 or distance_bound % 2 != 0):
             # level-synchronized growth from both ends decides even thresholds only
             raise ValueError("distance bound must be even and non-negative")

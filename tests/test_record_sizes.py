@@ -1,5 +1,8 @@
 """Record sizes, query vertices, r and t are stored as Python ints, so every
-record a constructor accepts is one its serializer writes back."""
+record a constructor accepts is one its serializer writes back; the counts
+that the reduction, the protocols, the streaming harness and the entropy
+toolkit take work alike for every spelling of an integer."""
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +14,12 @@ import chasebench as cb
 from chasebench import oracles
 
 EDGE = [[0, 1]]
+PATH = cb.GraphStream(4, False, 0, 3, 0, [[0, 1], [1, 2], [2, 3]])
+TRANSCRIPT = cb.Transcript([(0, 0, "01")])
+SIZES = {"nv", "src", "dst", "p", "n", "r", "t", "players", "rounds"}
 
-# integral values of another type: stored as the int they equal
+# integral values of another type: stored as the int they equal, or, for a
+# call that returns a plain result, the pair (that result, the same call on ints)
 ACCEPTED = {
     "stream-nv-float": lambda: cb.GraphStream(3.0, False, 0, 2, 0, EDGE),
     "stream-dst-float": lambda: cb.GraphStream(3, False, 0, 2.0, 0, EDGE),
@@ -22,6 +29,25 @@ ACCEPTED = {
     ),
     "sc-p-float": lambda: cb.ScInstance(2, 1.0, (cb.SetFunctionTable.identity(2),)),
     "pc-n-float": lambda: cb.PcInstance(2.0, 1, (cb.FunctionTable(2.0, [0, 1]),)),
+    "params-n-numpy": lambda: cb.ReductionParams(np.int64(4096), 2, 5, 2),
+    "params-t-float": lambda: cb.ReductionParams(4096, 2, 5, 2.0),
+    "choose-params-n-numpy": lambda: cb.choose_params(np.int64(4096), 2, 5),
+    "choose-params-r-float": lambda: cb.choose_params(4096, 2, 5.0),
+    "permutation-family-n-float": lambda: cb.PermutationFamily(2.0, [[[0, 1]]], [[[0, 1]]]),
+    "sample-permutations-n-float": lambda: cb.sample_permutation_family(4.0, 1, 1, cb.derive_rng(4)),
+    "sample-permutations-t-numpy": lambda: cb.sample_permutation_family(4, 2, np.int32(2), cb.derive_rng(4)),
+    "schedule-rounds-float": lambda: cb.Schedule(2, 1.0, ((0, 1),)),
+    "standard-schedule-players-float": lambda: cb.Schedule.standard(2.0, np.int64(1)),
+    "feasible-n-numpy": lambda: (cb.feasible(np.int64(4096), 2, 5, 2), cb.feasible(4096, 2, 5, 2)),
+    "c-star-n-float": lambda: (cb.c_star_threshold(8.0), cb.c_star_threshold(8)),
+    "set-message-n-numpy": lambda: (cb.set_message_bits(TRANSCRIPT, np.int64(2)), cb.set_message_bits(TRANSCRIPT, 2)),
+    "bfs-bound-float": lambda: (
+        cb.run_streaming(cb.alg_forward_bfs(3.0), PATH, 10), cb.run_streaming(cb.alg_forward_bfs(3), PATH, 10)
+    ),
+    "pass-budget-numpy": lambda: (
+        cb.run_streaming(cb.alg_directed_frontier(), PATH, np.int64(2)),
+        cb.run_streaming(cb.alg_directed_frontier(), PATH, 2),
+    ),
 }
 
 REFUSED = {
@@ -40,6 +66,18 @@ REFUSED = {
     "orlpce-t-fraction": lambda: cb.OrLpceInstance(
         1.5, (cb.sample_uniform_lpce(2, 1, 3, cb.derive_rng(3)),)
     ),
+    "params-n-fraction": lambda: cb.ReductionParams(4096.5, 2, 5, 2),
+    "choose-params-p-fraction": lambda: cb.choose_params(4096, 2.5, 5),
+    "feasible-t-fraction": lambda: cb.feasible(4096, 2, 5, 2.5),
+    "c-star-n-fraction": lambda: cb.c_star_threshold(8.5),
+    "permutation-family-n-fraction": lambda: cb.PermutationFamily(2.5, [[[0, 1]]], [[[0, 1]]]),
+    "sample-permutations-n-fraction": lambda: cb.sample_permutation_family(2.5, 1, 1, cb.derive_rng(4)),
+    "schedule-rounds-fraction": lambda: cb.Schedule(2, 1.5, ((0, 1),)),
+    "standard-schedule-players-fraction": lambda: cb.Schedule.standard(2.5, 1),
+    "set-message-n-fraction": lambda: cb.set_message_bits(TRANSCRIPT, 2.5),
+    "bfs-bound-fraction": lambda: cb.alg_forward_bfs(2.5),
+    "bidir-bound-fraction": lambda: cb.alg_bidirectional_bfs(3.5),
+    "pass-budget-fraction": lambda: cb.run_streaming(cb.alg_directed_frontier(), PATH, 2.5),
 }
 
 
@@ -54,9 +92,15 @@ def _round_trip(record):
 @pytest.mark.parametrize("make", ACCEPTED.values(), ids=ACCEPTED.keys())
 def test_integral_sizes_are_stored_as_ints_and_written_back(make):
     record = make()
-    names = ("nv", "src", "dst", "p") if isinstance(record, cb.GraphStream) else ("n", "p")
-    assert all(type(getattr(record, name)) is int for name in names)
+    if isinstance(record, tuple):
+        got, want = record
+        assert type(got) is type(want) and got == want
+        return
+    sizes = [f.name for f in dataclasses.fields(record) if f.name in SIZES]
+    assert sizes and all(type(getattr(record, name)) is int for name in sizes)
     assert type(getattr(record, "directed", False)) is bool
+    if isinstance(record, (cb.ReductionParams, cb.PermutationFamily, cb.Schedule)):
+        return  # no text form
     text, back = _round_trip(record)
     assert back == record and _round_trip(back)[0] == text
     if isinstance(record, cb.GraphStream):

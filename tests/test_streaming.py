@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import chasebench as cb
+from chasebench import streaming
+from chasebench.util import pack_uints, unpack_uints
 from chasebench.verify import identity_instance
 
 
@@ -187,6 +189,78 @@ def test_bfs_state_bytes_are_pinned(name, want):
         states.append(alg.serialize_state().hex())
     assert answer == 1
     assert states == want
+
+
+@pytest.mark.parametrize("name, reverse, want", [
+    ("directed-frontier", False, ["00000000800000", "00000000880000", "00000000888880"]),
+    ("directed-frontier", True, ["00000000800000", "00000000888000", "00000000888800", "00000000888880"]),
+    ("union-find", False, ["00443214c74254b635cf846530", "00443004430044300443004430"]),
+])
+def test_frontier_and_union_find_state_bytes_are_pinned(name, reverse, want):
+    # directed-frontier: a level word that stays 0, then the 20-bit visited
+    # mask; union-find: each vertex's root in 5 bits, most significant first
+    inst = identity_instance(4, 2)
+    stream = (cb.build_reachability_gadget if name == "directed-frontier" else cb.build_distance_gadget)(inst)
+    stream = cb.reverse_stream(stream) if reverse else stream
+    alg = cb.ALGORITHMS[name]()
+    answer = alg.init(cb.StreamMeta.of(stream))
+    states = [alg.serialize_state().hex()]
+    while answer is None:
+        answer = alg.run_pass(stream.edges)
+        states.append(alg.serialize_state().hex())
+    assert answer == 1
+    assert states == want
+
+
+@pytest.mark.parametrize("nv", [1, 7, 8, 9, 2800])
+@pytest.mark.parametrize("count", range(1, 7))
+def test_mask_codec_round_trips(count, nv):
+    rng = cb.derive_rng(22, count, nv)
+    masks = rng.random((count, nv)) < 0.5
+    level = int(rng.integers(0, 2**32))
+    blob = streaming._pack_masks(level, masks)
+    # the level word, then each mask packed on its own, as one packbits call per row writes it
+    assert blob == level.to_bytes(4, "little") + b"".join(np.packbits(m).tobytes() for m in masks)
+    assert len(blob) == 4 + count * ((nv + 7) // 8)
+    got_level, got = streaming._unpack_masks(blob, nv, count)
+    assert got_level == level
+    assert got.dtype == bool and np.array_equal(got, masks)
+
+
+def _wrong_lengths(blob):
+    return [b"", blob[:-1], blob + b"\0"]
+
+
+@pytest.mark.parametrize("name", sorted(cb.ALGORITHMS))
+def test_restore_refuses_a_blob_of_the_wrong_length(name):
+    s = cb.GraphStream(12, False, 0, 11, 0, [[v, v + 1] for v in range(11)])
+    alg = cb.ALGORITHMS[name](4) if name.endswith("bfs") else cb.ALGORITHMS[name]()
+    alg.init(cb.StreamMeta.of(s))
+    blob = alg.serialize_state()
+    for bad in _wrong_lengths(blob) + [blob[:4], blob + bytes(28)]:
+        with pytest.raises(ValueError, match=f"has {len(bad)} bytes"):
+            alg.restore_state(bad)
+    alg.restore_state(blob)
+    assert alg.serialize_state() == blob
+
+
+def test_union_find_refuses_a_root_beyond_the_last_vertex():
+    alg = cb.alg_union_find()
+    alg.init(cb.StreamMeta(12, False, 0, 11, 0))
+    with pytest.raises(ValueError, match="root beyond the last vertex"):
+        alg.restore_state(pack_uints([0] * 11 + [12], 4))
+    alg.restore_state(pack_uints([0] * 11 + [11], 4))
+
+
+@pytest.mark.parametrize("width, count", [(4, 12), (3, 12), (1, 1), (5, 20)])
+def test_unpack_uints_refuses_a_blob_of_the_wrong_length(width, count):
+    values = np.arange(count) % (1 << width)
+    blob = pack_uints(values, width)
+    assert len(blob) == (count * width + 7) // 8
+    assert np.array_equal(unpack_uints(blob, width, count), values)
+    for bad in _wrong_lengths(blob):
+        with pytest.raises(ValueError, match=f"has {len(bad)} bytes"):
+            unpack_uints(bad, width, count)
 
 
 def test_run_report_state_bits_are_checkpoint_sizes():
