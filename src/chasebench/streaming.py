@@ -6,6 +6,16 @@ harness serializes the algorithm's state, records its size, and restores
 from the bytes, so nothing survives a pass except what the serializer
 carries.  In-pass working memory is deliberately not counted; reports say
 what was measured, not an estimate.
+
+State layout.  The BFS baselines and directed-frontier write a
+little-endian 32-bit level word, then the rows of one (count, nv) bool
+array, each packed MSB-first into ceil(nv/8) bytes: forward-bfs its
+visited and frontier rows, bidir-bfs both balls' visited rows then both
+frontier rows, directed-frontier a level word that stays 0 and its one
+visited row.  union-find writes each vertex's root as a ceil(log2 nv)-bit
+word, most significant bit first (util.pack_uints).  restore_state raises
+ValueError for a blob of any other length, and union-find's for a root
+beyond the last vertex.
 """
 from __future__ import annotations
 

@@ -219,7 +219,7 @@ def test_mask_codec_round_trips(count, nv):
     masks = rng.random((count, nv)) < 0.5
     level = int(rng.integers(0, 2**32))
     blob = streaming._pack_masks(level, masks)
-    # the level word, then each mask packed on its own, as one packbits call per row writes it
+    # the same bytes as the level word followed by each mask packed on its own
     assert blob == level.to_bytes(4, "little") + b"".join(np.packbits(m).tobytes() for m in masks)
     assert len(blob) == 4 + count * ((nv + 7) // 8)
     got_level, got = streaming._unpack_masks(blob, nv, count)
