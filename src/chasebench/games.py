@@ -423,8 +423,9 @@ def sample_set_function(
     """
     if not 0.0 <= include_prob <= 1.0:
         raise ValueError("include_prob must be a probability")
-    rows, cols = np.nonzero(rng.random((n, n)) < include_prob)  # row-major: rows ascend
-    return SetFunctionTable(n, np.searchsorted(rows, np.arange(n + 1)), cols)
+    # flat cell ids, row-major: ids ascend, and row x holds ids [x*n, (x+1)*n)
+    (cells,) = (rng.random((n, n)) < include_prob).ravel().nonzero()
+    return SetFunctionTable(n, cells.searchsorted(np.arange(n + 1) * n), cells % n)
 
 
 def sample_intersect_sc(

@@ -9,23 +9,24 @@ Python BFS over adjacency lists for small streams, where the fixed cost of
 a sparse-matrix build and a library call dominates, and scipy's compiled
 csgraph traversals from CSGRAPH_MIN_EDGES edges up.  Both give the same
 answers and the same colorings.
+
+scipy is imported inside each function that calls it, so it loads at the
+first compiled-kernel call (a large stream, or any matching oracle call)
+and never for the list BFS.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (
-    breadth_first_order,
-    connected_components,
-    maximum_bipartite_matching,
-)
 
 from .gadgets import GraphStream
 from .util import stable_order
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = ["oracle_distance", "oracle_reachable", "oracle_perfect_matching", "two_color"]
 
@@ -62,6 +63,8 @@ def _adjacency(stream: GraphStream, directed: bool) -> tuple[list[int], list[int
 def _csgraph(ptr: np.ndarray, nbr: np.ndarray) -> csr_matrix:
     """(ptr, nbr) as a 0/1 matrix.  The data is float64 because csgraph
     copies any other dtype into float64 first."""
+    from scipy.sparse import csr_matrix
+
     n = ptr.size - 1
     return csr_matrix((np.ones(nbr.size), nbr, ptr), shape=(n, n))
 
@@ -92,6 +95,8 @@ def oracle_distance(stream: GraphStream) -> Union[int, float]:
         level = [-1] * stream.nv
         _bfs(_adjacency(stream, stream.directed), stream.src, level, stream.dst)
         return level[stream.dst] if level[stream.dst] >= 0 else math.inf
+    from scipy.sparse.csgraph import breadth_first_order
+
     # one direction of each edge; directed=False adds the reverse arcs
     graph = _csgraph(*_csr(stream, True))
     _, pred = breadth_first_order(
@@ -132,6 +137,8 @@ def two_color(stream: GraphStream) -> np.ndarray:
     # direction of each edge is enough.  (directed=True with
     # connection="strong" never returns on a matrix with duplicate entries
     # in scipy 1.17.)
+    from scipy.sparse.csgraph import connected_components
+
     nv, ne = stream.nv, stream.ne
     ptr, nbr = _csr(stream, True)
     cover = _csgraph(np.concatenate((ptr, ptr[1:] + ne)), np.concatenate((nbr + nv, nbr)))
@@ -153,6 +160,9 @@ def oracle_perfect_matching(stream: GraphStream) -> int:
     rejected loudly rather than mis-answered.  The matching itself comes
     from the Hopcroft-Karp implementation in scipy.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     if stream.directed:
         raise ValueError("matching oracle needs an undirected stream")
     if stream.nv % 2 != 0:

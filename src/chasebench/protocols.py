@@ -38,7 +38,8 @@ class Schedule:
     def __post_init__(self):
         for name in ("players", "rounds"):
             object.__setattr__(self, name, exact_int(getattr(self, name), name))
-        object.__setattr__(self, "order", tuple(tuple(rnd) for rnd in self.order))
+        order = tuple(tuple(exact_int(player, "player") for player in rnd) for rnd in self.order)
+        object.__setattr__(self, "order", order)
         if self.players < 1:
             raise ProtocolError("need at least one player")
         if self.rounds < 1 or len(self.order) != self.rounds:

@@ -14,8 +14,13 @@ visited and frontier rows, bidir-bfs both balls' visited rows then both
 frontier rows, directed-frontier a level word that stays 0 and its one
 visited row.  union-find writes each vertex's root as a ceil(log2 nv)-bit
 word, most significant bit first (util.pack_uints).  restore_state raises
-ValueError for a blob of any other length, and union-find's for a root
-beyond the last vertex.
+ValueError for a blob of any other length; the mask baselines' for a set
+padding bit after a row's last vertex or a level word no run reaches
+(above bound / balls for the BFS baselines, above 0 for
+directed-frontier); union-find's for a root beyond the last vertex.
+
+scipy is imported inside union-find's run_pass, on its first call, so
+the BFS baselines and directed-frontier never load it.
 """
 from __future__ import annotations
 
@@ -25,8 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .gadgets import GraphStream
 from .util import exact_int, pack_uints, unpack_uints
@@ -125,13 +128,23 @@ def _pack_masks(level: int, masks: np.ndarray) -> bytes:
     return struct.pack("<I", level) + np.packbits(masks, axis=1).tobytes()
 
 
-def _unpack_masks(blob: bytes, n: int, count: int) -> tuple[int, np.ndarray]:
-    """Inverse of _pack_masks: the level and the (count, n) bool array."""
+def _unpack_masks(
+    blob: bytes, n: int, count: int, max_level: int = 2**32 - 1
+) -> tuple[int, np.ndarray]:
+    """Inverse of _pack_masks: the level and the (count, n) bool array.
+    Refuses a level above max_level and a set padding bit after a row's
+    last vertex, which _pack_masks never writes."""
     step = (n + 7) // 8
     if len(blob) != 4 + count * step:
         raise ValueError(f"state blob has {len(blob)} bytes, not 4 + {count}*{step}")
     (level,) = struct.unpack_from("<I", blob)
+    if level > max_level:
+        raise ValueError(
+            f"state blob holds level {level}, above the last reachable level {max_level}"
+        )
     rows = np.frombuffer(blob, dtype=np.uint8, offset=4).reshape(count, step)
+    if (rows[:, -1] & ((1 << (8 * step - n)) - 1)).any():
+        raise ValueError("state blob sets a padding bit after the last vertex")
     return level, np.unpackbits(rows, axis=1, count=n).view(bool)
 
 
@@ -201,7 +214,10 @@ class _LevelBfs(StreamingAlgorithm):
         return _pack_masks(self.level, np.concatenate((self.visited, self.frontier)))
 
     def restore_state(self, blob: bytes) -> None:
-        self.level, masks = _unpack_masks(blob, self.n, 2 * self.balls)
+        # a run answers by the pass at which the balls' radii sum to the
+        # bound, which bidir-bfs keeps even
+        last = self.bound // self.balls
+        self.level, masks = _unpack_masks(blob, self.n, 2 * self.balls, last)
         self.visited, self.frontier = masks[:self.balls], masks[self.balls:]
 
 
@@ -230,6 +246,9 @@ class _UnionFind(StreamingAlgorithm):
         return None
 
     def run_pass(self, edges: np.ndarray) -> Optional[int]:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         a = np.concatenate((edges[:, 0], np.arange(self.n)))
         b = np.concatenate((edges[:, 1], self.root))
         # float64 data: csgraph copies any other dtype into float64 first
@@ -312,7 +331,7 @@ class _DirectedFrontier(StreamingAlgorithm):
         return _pack_masks(0, self.vis[None])
 
     def restore_state(self, blob: bytes) -> None:
-        _, (self.vis,) = _unpack_masks(blob, self.n, 1)
+        _, (self.vis,) = _unpack_masks(blob, self.n, 1, 0)
 
 
 def alg_bidirectional_bfs(distance_bound: int) -> StreamingAlgorithm:

@@ -3,13 +3,19 @@ from the submodules' lists is still exported and importable, and every
 exported record that holds arrays follows the one frozen-record rule."""
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chasebench as cb
 from chasebench.util import FrozenRecord
+
+REPO = Path(__file__).resolve().parent.parent
 
 EARLIER_EXPORTS = """
 ALGORITHMS EndToEndReport FiniteDistribution FunctionTable GadgetLayout
@@ -104,3 +110,41 @@ def test_integer_records_refuse_values_the_cast_would_change(name):
     # values the cast keeps still pass, as floats, bools or other integer types
     for good in (0.0, False, np.int32(0), np.uint8(0)):
         assert build(good) == build(0)
+
+
+SCIPY_FREE_RUNS = """
+import sys
+import numpy as np
+import chasebench as cb
+from chasebench import cli
+
+game, reduced = sys.argv[1], sys.argv[2]
+assert cli.main(["gen-game", "--seed", "6", "--n", "64", "--p", "1", "--t", "2", "--output", game]) == 0
+assert cli.main(["reduce", "--seed", "12", "--input", game, "--output", reduced]) == 0
+assert cli.main(["solve-protocol", "--input", reduced, "--alg", "forward"]) == 0
+golden = "tests/golden/reach_k4_p1_seed31.gs"
+assert cli.main(["stream-run", "--input", golden, "--alg", "forward-bfs"]) == 0
+print("scipy.sparse loaded:", "scipy.sparse" in sys.modules)
+nv = cb.oracles.CSGRAPH_MIN_EDGES + 1
+path = cb.GraphStream(nv, False, 0, nv - 1, 0, np.column_stack([np.arange(nv - 1), np.arange(1, nv)]))
+print("distance:", cb.oracle_distance(path))
+print("scipy.sparse loaded:", "scipy.sparse" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_when_a_compiled_kernel_runs(tmp_path):
+    # the game, reduction, protocol and BFS paths never touch a sparse graph
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    files = [str(tmp_path / "or.game"), str(tmp_path / "sc.game")]
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUNS, *files],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-3:] == [
+        "scipy.sparse loaded: False",
+        f"distance: {cb.oracles.CSGRAPH_MIN_EDGES}",
+        "scipy.sparse loaded: True",
+    ]
+    assert lines[0].startswith("answer=")  # solve-protocol's line

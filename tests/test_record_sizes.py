@@ -38,6 +38,11 @@ ACCEPTED = {
     "sample-permutations-t-numpy": lambda: cb.sample_permutation_family(4, 2, np.int32(2), cb.derive_rng(4)),
     "schedule-rounds-float": lambda: cb.Schedule(2, 1.0, ((0, 1),)),
     "standard-schedule-players-float": lambda: cb.Schedule.standard(2.0, np.int64(1)),
+    "schedule-player-float": lambda: cb.Schedule(2, 1, ((0.0, np.int64(1)),)),
+    "run-protocol-player-float": lambda: (
+        cb.run_protocol(cb.Schedule(2, 1, ((0.0, 1),)), [lambda i, t, r: "1"] * 2, [0, 0]),
+        cb.run_protocol(cb.Schedule(2, 1, ((0, 1),)), [lambda i, t, r: "1"] * 2, [0, 0]),
+    ),
     "feasible-n-numpy": lambda: (cb.feasible(np.int64(4096), 2, 5, 2), cb.feasible(4096, 2, 5, 2)),
     "c-star-n-float": lambda: (cb.c_star_threshold(8.0), cb.c_star_threshold(8)),
     "set-message-n-numpy": lambda: (cb.set_message_bits(TRANSCRIPT, np.int64(2)), cb.set_message_bits(TRANSCRIPT, 2)),
@@ -74,6 +79,8 @@ REFUSED = {
     "sample-permutations-n-fraction": lambda: cb.sample_permutation_family(2.5, 1, 1, cb.derive_rng(4)),
     "schedule-rounds-fraction": lambda: cb.Schedule(2, 1.5, ((0, 1),)),
     "standard-schedule-players-fraction": lambda: cb.Schedule.standard(2.5, 1),
+    "schedule-player-fraction": lambda: cb.Schedule(2, 1, ((0.5, 1),)),
+    "schedule-player-string": lambda: cb.Schedule(2, 1, ((0, "1"),)),
     "set-message-n-fraction": lambda: cb.set_message_bits(TRANSCRIPT, 2.5),
     "bfs-bound-fraction": lambda: cb.alg_forward_bfs(2.5),
     "bidir-bound-fraction": lambda: cb.alg_bidirectional_bfs(3.5),
@@ -99,6 +106,8 @@ def test_integral_sizes_are_stored_as_ints_and_written_back(make):
     sizes = [f.name for f in dataclasses.fields(record) if f.name in SIZES]
     assert sizes and all(type(getattr(record, name)) is int for name in sizes)
     assert type(getattr(record, "directed", False)) is bool
+    if isinstance(record, cb.Schedule):
+        assert all(type(player) is int for rnd in record.order for player in rnd)
     if isinstance(record, (cb.ReductionParams, cb.PermutationFamily, cb.Schedule)):
         return  # no text form
     text, back = _round_trip(record)

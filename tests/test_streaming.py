@@ -244,6 +244,45 @@ def test_restore_refuses_a_blob_of_the_wrong_length(name):
     assert alg.serialize_state() == blob
 
 
+@pytest.mark.parametrize("name", ["bidir-bfs", "directed-frontier", "forward-bfs"])
+@pytest.mark.parametrize("nv", [12, 13, 15, 16])
+def test_restore_refuses_each_padding_bit_of_each_row(name, nv):
+    # e.g. forward-bfs's 12-vertex init 0000000080008000 as 0000000080018000
+    alg = cb.ALGORITHMS[name](4) if name.endswith("bfs") else cb.ALGORITHMS[name]()
+    alg.init(cb.StreamMeta(nv, False, 0, nv - 1, 0))
+    blob = alg.serialize_state()
+    step = (nv + 7) // 8
+    rows = (len(blob) - 4) // step
+    for row in range(rows):
+        for bit in range(8 * step - nv):
+            bad = bytearray(blob)
+            bad[4 + row * step + step - 1] |= 1 << bit
+            with pytest.raises(ValueError, match="padding bit"):
+                alg.restore_state(bytes(bad))
+    alg.restore_state(blob)
+    assert alg.serialize_state() == blob
+
+
+@pytest.mark.parametrize("name, bound, last", [
+    ("forward-bfs", 4, 4), ("forward-bfs", 3, 3), ("bidir-bfs", 4, 2), ("bidir-bfs", 6, 3),
+    ("directed-frontier", None, 0),
+])
+def test_restore_refuses_a_level_no_run_reaches(name, bound, last):
+    s = cb.GraphStream(12, False, 0, 11, 0, [[v, v + 1] for v in range(11)])
+    alg = cb.ALGORITHMS[name](bound) if name.endswith("bfs") else cb.ALGORITHMS[name]()
+    alg.init(cb.StreamMeta.of(s))
+    blob = alg.serialize_state()
+    if bound is not None:
+        # dst is 11 hops away, so the run spends every pass the bound allows
+        # and the harness restores the state at the last level
+        assert cb.run_streaming(cb.ALGORITHMS[name](bound), s, 100) == cb.RunReport(0, last, len(blob) * 8)
+    for level in (last + 1, 2**32 - 1):
+        with pytest.raises(ValueError, match=f"level {level}, above the last reachable level {last}"):
+            alg.restore_state(level.to_bytes(4, "little") + blob[4:])
+    alg.restore_state(last.to_bytes(4, "little") + blob[4:])
+    assert alg.serialize_state()[4:] == blob[4:]
+
+
 def test_union_find_refuses_a_root_beyond_the_last_vertex():
     alg = cb.alg_union_find()
     alg.init(cb.StreamMeta(12, False, 0, 11, 0))
